@@ -1,0 +1,62 @@
+"""Sampling toolkit for implicit theta-method Langevin chains.
+
+Targets (Gaussian and logistic-regression posteriors), exact and inexact
+implicit samplers, closed-form theory (contraction rates, Wasserstein bounds,
+large-step asymptotics, step-size heuristic), discrepancy diagnostics
+(MMTV, MMD), and a CLI experiment harness.
+"""
+
+from .diagnostics import (
+    DiscrepancyReport,
+    SampleSet,
+    discrepancy_report,
+    gauss_kronrod,
+    kde_marginal,
+    median_bandwidth,
+    mmd2,
+    mmtv,
+)
+from .errors import (
+    DegenerateBandwidthError,
+    NumericalError,
+    OutOfRegimeError,
+    QuadratureAccuracyError,
+)
+from .matrixgen import SpectralModel, exp_decay_spectrum, random_correlation
+from .optim import SolveProblem, SolveResult, gradient_descent_solve, newton_solve
+from .samplers import (
+    NoiseStream,
+    SamplerConfig,
+    StabilityWarning,
+    Trajectory,
+    dump_trajectory,
+    iila_step,
+    ila_step_gaussian,
+    run_chain,
+    subproblem_gradient,
+    transition_log_density,
+    ula_step,
+)
+from .targets import (
+    GaussianTarget,
+    LogisticRegressionTarget,
+    TargetDensity,
+    load_dataset,
+    mode,
+    standardize_design,
+)
+from .theory import (
+    ContractionParams,
+    asymptotic_covariance,
+    condition_number_kappa,
+    contraction,
+    gaussian_stationary_covariance,
+    h_star,
+    heuristic_objective,
+    step_size_heuristic,
+    step_size_heuristic_model,
+    theta_map,
+    w2_bound,
+)
+
+__version__ = "0.1.0"

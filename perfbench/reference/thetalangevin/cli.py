@@ -1,0 +1,512 @@
+"""Experiment harness and command-line interface.
+
+Subcommands: `gaussian` (ill-conditioned correlation-matrix Gaussian sweep),
+`logistic` (Bayesian logistic-regression posterior sweep against a fine-step
+reference chain), `heuristic` (step-size recommendation), and `contour`
+(transition-kernel grid dump for a 2-d target). Experiments emit CSV rows,
+one per (theta, h) grid point, using common random numbers across the grid.
+"""
+
+import argparse
+import math
+import os
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
+
+from . import diagnostics, matrixgen, targets, theory
+from .diagnostics import SampleSet
+from .errors import NumericalError
+from .samplers import (
+    NoiseStream,
+    SamplerConfig,
+    StabilityWarning,
+    run_chain,
+    transition_log_density,
+)
+from .targets import GaussianTarget, LogisticRegressionTarget
+
+SEED_ENV_VAR = "THETALANGEVIN_SEED"
+
+# Noise stream ids: 0 chain steps, 1 exact reference draws, 2 reference chain.
+_STREAM_CHAIN = 0
+_STREAM_EXACT_REFERENCE = 1
+_STREAM_REFERENCE_CHAIN = 2
+
+
+@dataclass
+class ExperimentConfig:
+    """Settings for one experiment run; flags override config-file values."""
+
+    kind: str = "gaussian"
+    dim: int = 100
+    kappa: float = 1.0
+    dataset: str | None = None
+    label_col: int = 0
+    prior_precision: float = 1.0
+    thetas: tuple = (0.0, 0.5, 1.0)
+    h_values: tuple | None = None
+    h_min: float | None = None
+    h_max: float | None = None
+    h_count: int = 20
+    n_samples: int = 5000
+    eps: float = 1e-9
+    seed: int = 0
+    burn_in: int = 0
+    thin: int = 50
+    ref_steps: int | None = None
+    ref_thin: int = 10
+    ref_h: float | None = None
+    out: str | None = None
+    overwrite: bool = False
+    workers: int = 1
+    source: tuple | None = None
+    grid_count: int = 50
+    span: float | None = None
+
+    def __post_init__(self):
+        if self.h_values is not None:
+            hs = tuple(float(h) for h in self.h_values)
+            if any(h <= 0 for h in hs):
+                raise ValueError("h grid values must be strictly positive")
+            self.h_values = tuple(sorted(hs))
+        if any(not 0.0 <= t <= 1.0 for t in self.thetas):
+            raise ValueError("theta values must lie in [0, 1]")
+        if self.burn_in < 0:
+            raise ValueError("burn-in must be >= 0")
+
+
+@dataclass
+class GridRow:
+    """One output row of a discrepancy sweep."""
+
+    theta: float
+    h: float
+    mmtv: float
+    mmd2: float
+    diverged: bool
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def resolve_h_grid(config: ExperimentConfig, big_m: float, h_half: float) -> tuple:
+    """Explicit h list if given, else log-spaced [4/(100 M), 100 h_half]."""
+    if config.h_values is not None:
+        return config.h_values
+    lo = config.h_min if config.h_min is not None else 4.0 / (100.0 * big_m)
+    hi = config.h_max if config.h_max is not None else 100.0 * h_half
+    if not 0 < lo < hi:
+        raise ValueError(f"invalid h range [{lo}, {hi}]")
+    return tuple(np.geomspace(lo, hi, config.h_count))
+
+
+def build_gaussian_target(dim: int, kappa: float, seed: int) -> GaussianTarget:
+    """Zero-mean Gaussian whose covariance is a random correlation matrix with
+    log-linearly decaying spectrum of condition number kappa."""
+    if kappa < 1.0:
+        raise ValueError(f"condition number must be >= 1, got {kappa}")
+    if dim < 2:
+        raise ValueError(f"dimension must be >= 2, got {dim}")
+    spectrum = matrixgen.exp_decay_spectrum(matrixgen.SpectralModel(d=dim, m=1.0, M=kappa))
+    corr = matrixgen.random_correlation(spectrum, seed=seed)
+    return GaussianTarget.from_covariance(np.zeros(dim), corr)
+
+
+def _chain_samples(target, config: ExperimentConfig, theta: float, h: float,
+                   n_keep: int, thin: int = 1, stream: int = _STREAM_CHAIN,
+                   expected_noise_head=None):
+    """Run one chain and return (kept samples or None if diverged, diverged)."""
+    n_steps = config.burn_in + n_keep * thin
+    chain_config = SamplerConfig(theta=theta, h=h, eps=config.eps,
+                                 n_steps=n_steps, seed=config.seed)
+    noise = NoiseStream(config.seed, target.dim, stream=stream)
+    with warnings.catch_warnings():
+        # The sweep probes unstable step sizes on purpose; divergence is
+        # reported through the output row, not a per-point warning.
+        warnings.simplefilter("ignore", StabilityWarning)
+        trajectory = run_chain(target, np.zeros(target.dim), chain_config, noise=noise)
+    if expected_noise_head is not None and trajectory.noise_head.size:
+        rows = trajectory.noise_head.shape[0]
+        if not np.array_equal(trajectory.noise_head, expected_noise_head[:rows]):
+            raise RuntimeError("common-random-numbers contract violated across grid")
+    if trajectory.diverged:
+        return None, True
+    kept = trajectory.samples[config.burn_in + thin::thin]
+    return kept, False
+
+
+def _grid_row(target, config: ExperimentConfig, theta: float, h: float,
+              reference: SampleSet, sigma: float, thin: int,
+              expected_noise_head, compute_mmtv: bool = True) -> GridRow:
+    kept, diverged = _chain_samples(target, config, theta, h, config.n_samples,
+                                    thin=thin, expected_noise_head=expected_noise_head)
+    if diverged:
+        return GridRow(theta=theta, h=h, mmtv=math.nan, mmd2=math.nan, diverged=True)
+    sample_set = SampleSet(kept, label=f"theta={theta} h={h}")
+    mmtv_val = diagnostics.mmtv(sample_set, reference) if compute_mmtv else math.nan
+    mmd_val = diagnostics.mmd2(sample_set, reference, sigma)
+    return GridRow(theta=theta, h=h, mmtv=mmtv_val, mmd2=mmd_val, diverged=False)
+
+
+def _run_grid(jobs, workers: int):
+    if workers <= 1:
+        return [job() for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(job) for job in jobs]
+        return [f.result() for f in futures]
+
+
+def run_gaussian_experiment(config: ExperimentConfig,
+                            compute_mmtv: bool = True) -> list[GridRow]:
+    """Discrepancy sweep over (theta, h) against exact reference samples.
+
+    The target is a zero-mean Gaussian with a random correlation covariance of
+    condition number kappa; the reference set is drawn exactly through the
+    covariance square root, which is strictly better than any chain. All
+    chains share the step-indexed noise sequence.
+    """
+    target = build_gaussian_target(config.dim, config.kappa, config.seed)
+    m, big_m = target.convexity_bounds()
+    h_half = theory.step_size_heuristic(1.0 / np.linalg.eigvalsh(target.covariance), 0.5)
+    h_grid = resolve_h_grid(config, big_m, h_half)
+
+    ref_rng = np.random.default_rng((config.seed, _STREAM_EXACT_REFERENCE))
+    reference = SampleSet(target.exact_sample(config.n_samples, ref_rng), label="exact")
+    sigma = diagnostics.median_bandwidth(reference, seed=config.seed)
+    noise_head = np.stack([NoiseStream(config.seed, target.dim).vector(k) for k in range(3)])
+
+    jobs = [
+        (lambda th=th, h=h: _grid_row(target, config, th, h, reference, sigma,
+                                      thin=1, expected_noise_head=noise_head,
+                                      compute_mmtv=compute_mmtv))
+        for th in config.thetas for h in h_grid
+    ]
+    rows = _run_grid(jobs, config.workers)
+    rows.sort(key=lambda r: (r.theta, r.h))
+    return rows
+
+
+def build_logistic_target(config: ExperimentConfig) -> LogisticRegressionTarget:
+    if config.dataset is None:
+        raise ValueError("logistic experiment needs --dataset")
+    features, labels = targets.load_dataset(config.dataset, label_col=config.label_col)
+    design = targets.standardize_design(features)
+    return LogisticRegressionTarget(design, labels, prior_precision=config.prior_precision)
+
+
+def run_logistic_experiment(config: ExperimentConfig,
+                            compute_mmtv: bool = True) -> list[GridRow]:
+    """Discrepancy sweep on a logistic-regression posterior.
+
+    The reference set comes from a long fine-step implicit chain at
+    theta = 1/2 with step h_half/10, thinned; the grid includes a thinned
+    explicit comparator at theta = 0 (thinning factor config.thin) so
+    computation budgets are comparable.
+    """
+    target = build_logistic_target(config)
+    m, big_m = target.convexity_bounds()
+    model = matrixgen.SpectralModel(d=target.dim, m=m, M=big_m)
+    h_half = theory.step_size_heuristic_model(model, 0.5)
+    h_grid = resolve_h_grid(config, big_m, h_half)
+
+    ref_h = config.ref_h if config.ref_h is not None else h_half / 10.0
+    ref_keep = (config.ref_steps // config.ref_thin if config.ref_steps is not None
+                else config.n_samples)
+    ref_config = SamplerConfig(theta=0.5, h=ref_h, eps=config.eps,
+                               n_steps=ref_keep * config.ref_thin, seed=config.seed)
+    ref_noise = NoiseStream(config.seed, target.dim, stream=_STREAM_REFERENCE_CHAIN)
+    ref_traj = run_chain(target, np.zeros(target.dim), ref_config, noise=ref_noise)
+    reference = SampleSet(ref_traj.samples[config.ref_thin::config.ref_thin],
+                          label="reference-chain")
+    sigma = diagnostics.median_bandwidth(reference, seed=config.seed)
+    noise_head = np.stack([NoiseStream(config.seed, target.dim).vector(k) for k in range(3)])
+
+    jobs = [
+        (lambda th=th, h=h: _grid_row(
+            target, config, th, h, reference, sigma,
+            thin=(config.thin if th == 0.0 else 1),
+            expected_noise_head=noise_head, compute_mmtv=compute_mmtv))
+        for th in config.thetas for h in h_grid
+    ]
+    rows = _run_grid(jobs, config.workers)
+    rows.sort(key=lambda r: (r.theta, r.h))
+    return rows
+
+
+def run_heuristic(config: ExperimentConfig, eigenvalues=None,
+                  m: float | None = None, big_m: float | None = None) -> list[tuple]:
+    """Step-size recommendation per theta, from an explicit spectrum or an
+    exponential-decay model (dim, m, M). Returns (theta, h_hat, objective)."""
+    results = []
+    for theta in config.thetas:
+        if theta == 0.0:
+            raise ValueError("step-size heuristic is undefined for theta = 0 "
+                             "(the explicit method has no implicit damping)")
+        if eigenvalues is not None:
+            lam = np.asarray(eigenvalues, dtype=float)
+            h_hat = theory.step_size_heuristic(lam, theta)
+        else:
+            if m is None or big_m is None:
+                raise ValueError("need either an explicit spectrum or (dim, m, M)")
+            model = matrixgen.SpectralModel(d=config.dim, m=m, M=big_m)
+            lam = matrixgen.exp_decay_spectrum(model)
+            h_hat = theory.step_size_heuristic_model(model, theta)
+        objective = theory.heuristic_objective(h_hat, lam, theta)
+        results.append((theta, h_hat, objective))
+    return results
+
+
+def run_kernel_contour(config: ExperimentConfig) -> list[tuple]:
+    """Transition-density values on a square grid around a source point.
+
+    Requires a 2-d target (Gaussian via kappa, or logistic with one feature
+    column plus intercept). Returns rows (theta, x, y, log_density).
+    """
+    if config.dataset is not None:
+        target = build_logistic_target(config)
+    else:
+        target = build_gaussian_target(2, config.kappa, config.seed)
+    if target.dim != 2:
+        raise ValueError(f"kernel contours need a 2-d target, got dim {target.dim}")
+    if config.source is not None:
+        source = np.asarray(config.source, dtype=float)
+    else:
+        source = targets.mode(target)
+    h = config.h_values[0] if config.h_values else 1.0
+    span = config.span if config.span is not None else 4.0 * math.sqrt(h) + 2.0
+    axis = np.linspace(-span, span, config.grid_count)
+    rows = []
+    for theta in config.thetas:
+        for gx in axis:
+            for gy in axis:
+                point = source + np.array([gx, gy])
+                log_p = transition_log_density(target, point, source, theta, h)
+                rows.append((theta, point[0], point[1], log_p))
+    return rows
+
+
+def write_rows(path: str, header: list[str], rows, overwrite: bool) -> None:
+    """Write CSV with a header; refuse to clobber without the overwrite flag."""
+    if path is None:
+        return
+    if os.path.exists(path) and not overwrite:
+        raise FileExistsError(f"{path} exists; pass --overwrite to replace it")
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(row) + "\n")
+
+
+def grid_rows_to_csv(rows: list[GridRow]) -> list[list[str]]:
+    return [[_fmt(r.theta), _fmt(r.h), _fmt(r.mmtv), _fmt(r.mmd2),
+             "1" if r.diverged else "0"] for r in rows]
+
+
+def load_config_file(path: str) -> dict:
+    """Parse a key=value config file (# comments and blank lines allowed)."""
+    values = {}
+    valid = {f.name for f in fields(ExperimentConfig)}
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}: line {lineno}: expected key=value")
+            key, _, raw = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key not in valid:
+                raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+            values[key] = raw.strip()
+    return values
+
+
+_CONFIG_PARSERS = {
+    "dim": int, "kappa": float, "label_col": int, "prior_precision": float,
+    "h_count": int, "n_samples": int, "eps": float, "seed": int,
+    "burn_in": int, "thin": int, "ref_steps": int, "ref_thin": int,
+    "ref_h": float, "overwrite": lambda s: s.lower() in ("1", "true", "yes"),
+    "workers": int, "grid_count": int, "span": float,
+    "h_min": float, "h_max": float,
+    "thetas": lambda s: tuple(float(v) for v in s.split(",")),
+    "h_values": lambda s: tuple(float(v) for v in s.split(",")),
+    "source": lambda s: tuple(float(v) for v in s.split(",")),
+}
+
+
+def _coerce_config_values(raw: dict) -> dict:
+    out = {}
+    for key, value in raw.items():
+        parser = _CONFIG_PARSERS.get(key, str)
+        out[key] = parser(value)
+    return out
+
+
+def _default_seed() -> int:
+    return int(os.environ.get(SEED_ENV_VAR, "0"))
+
+
+def _add_common_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--config", help="key=value config file; flags win")
+    parser.add_argument("--theta", action="append", type=float, dest="thetas",
+                        metavar="T", help="theta value (repeatable)")
+    parser.add_argument("--h", action="append", type=float, dest="h_values",
+                        metavar="H", help="explicit step size (repeatable)")
+    parser.add_argument("--h-min", type=float)
+    parser.add_argument("--h-max", type=float)
+    parser.add_argument("--h-count", type=int)
+    parser.add_argument("--samples", type=int, dest="n_samples")
+    parser.add_argument("--eps", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--burn-in", type=int, dest="burn_in")
+    parser.add_argument("--thin", type=int)
+    parser.add_argument("--out")
+    parser.add_argument("--overwrite", action="store_true", default=None)
+    parser.add_argument("--workers", type=int)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="thetalangevin",
+        description="Sampling experiments with theta-method Langevin chains",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_gauss = sub.add_parser("gaussian", help="correlation-matrix Gaussian sweep")
+    _add_common_flags(p_gauss)
+    p_gauss.add_argument("--dim", type=int)
+    p_gauss.add_argument("--kappa", type=float)
+
+    p_logit = sub.add_parser("logistic", help="logistic-regression posterior sweep")
+    _add_common_flags(p_logit)
+    p_logit.add_argument("--dataset")
+    p_logit.add_argument("--label-col", type=int, dest="label_col")
+    p_logit.add_argument("--lambda", type=float, dest="prior_precision",
+                         help="prior precision (default 1)")
+    p_logit.add_argument("--ref-steps", type=int, dest="ref_steps")
+    p_logit.add_argument("--ref-thin", type=int, dest="ref_thin")
+    p_logit.add_argument("--ref-h", type=float, dest="ref_h")
+
+    p_heur = sub.add_parser("heuristic", help="step-size recommendation")
+    _add_common_flags(p_heur)
+    p_heur.add_argument("--dim", type=int)
+    p_heur.add_argument("--m", type=float, help="smallest curvature eigenvalue")
+    p_heur.add_argument("--M", type=float, dest="big_m",
+                        help="largest curvature eigenvalue")
+    p_heur.add_argument("--kappa", type=float,
+                        help="shortcut for m=1, M=kappa")
+    p_heur.add_argument("--spectrum", help="file with one eigenvalue per line")
+
+    p_cont = sub.add_parser("contour", help="transition-kernel grid dump (2-d)")
+    _add_common_flags(p_cont)
+    p_cont.add_argument("--kappa", type=float)
+    p_cont.add_argument("--dataset")
+    p_cont.add_argument("--label-col", type=int, dest="label_col")
+    p_cont.add_argument("--lambda", type=float, dest="prior_precision")
+    p_cont.add_argument("--source", help="source point as 'x,y'")
+    p_cont.add_argument("--grid-count", type=int, dest="grid_count")
+    p_cont.add_argument("--span", type=float)
+    p_cont.add_argument("--dump-matrix", dest="dump_matrix",
+                        help="also write the target covariance to this path")
+
+    return parser
+
+
+def config_from_args(args: argparse.Namespace, kind: str) -> ExperimentConfig:
+    config = ExperimentConfig(kind=kind, seed=_default_seed())
+    if kind == "gaussian":
+        config = replace(config, thin=1)
+    elif kind == "heuristic":
+        config = replace(config, thetas=(0.5,))
+    if getattr(args, "config", None):
+        file_values = _coerce_config_values(load_config_file(args.config))
+        config = replace(config, **file_values)
+    overrides = {}
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            overrides[f.name] = value
+    if "thetas" in overrides:
+        overrides["thetas"] = tuple(overrides["thetas"])
+    if "h_values" in overrides:
+        overrides["h_values"] = tuple(overrides["h_values"])
+    if "source" in overrides and isinstance(overrides["source"], str):
+        overrides["source"] = tuple(float(v) for v in overrides["source"].split(","))
+    return replace(config, **overrides)
+
+
+def _emit(config: ExperimentConfig, header: list[str], csv_rows) -> None:
+    write_rows(config.out, header, csv_rows, config.overwrite)
+    if config.out is None:
+        print(",".join(header))
+        for row in csv_rows:
+            print(",".join(row))
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        if args.command == "gaussian":
+            config = config_from_args(args, "gaussian")
+            rows = run_gaussian_experiment(config)
+            _emit(config, ["theta", "h", "mmtv", "mmd2", "diverged"],
+                  grid_rows_to_csv(rows))
+            return 0
+
+        if args.command == "logistic":
+            config = config_from_args(args, "logistic")
+            rows = run_logistic_experiment(config)
+            _emit(config, ["theta", "h", "mmtv", "mmd2", "diverged"],
+                  grid_rows_to_csv(rows))
+            return 0
+
+        if args.command == "heuristic":
+            config = config_from_args(args, "heuristic")
+            eigenvalues = None
+            m = big_m = None
+            if args.spectrum:
+                eigenvalues = np.loadtxt(args.spectrum, ndmin=1)
+            elif args.kappa is not None:
+                m, big_m = 1.0, float(args.kappa)
+            elif args.m is not None and args.big_m is not None:
+                m, big_m = float(args.m), float(args.big_m)
+            else:
+                raise ValueError("heuristic needs --spectrum, --kappa, or --m/--M")
+            results = run_heuristic(config, eigenvalues=eigenvalues, m=m, big_m=big_m)
+            csv_rows = [[_fmt(t), _fmt(h), _fmt(obj)] for t, h, obj in results]
+            write_rows(config.out, ["theta", "h_hat", "objective"],
+                       csv_rows, config.overwrite)
+            for theta, h_hat, obj in results:
+                print(f"theta={_fmt(theta)} h_hat={_fmt(h_hat)} objective={_fmt(obj)}")
+            return 0
+
+        if args.command == "contour":
+            config = config_from_args(args, "contour")
+            rows = run_kernel_contour(config)
+            if getattr(args, "dump_matrix", None):
+                target = (build_logistic_target(config) if config.dataset
+                          else build_gaussian_target(2, config.kappa, config.seed))
+                if isinstance(target, GaussianTarget):
+                    matrixgen.dump_matrix(target.covariance, args.dump_matrix)
+            csv_rows = [[_fmt(t), _fmt(x), _fmt(y), _fmt(lp)] for t, x, y, lp in rows]
+            write_rows(config.out, ["theta", "x", "y", "log_density"],
+                       csv_rows, config.overwrite)
+            if config.out is None:
+                for row in csv_rows[:10]:
+                    print(",".join(row))
+                if len(csv_rows) > 10:
+                    print(f"... {len(csv_rows)} rows total; use --out to save")
+            return 0
+    except (ValueError, FileExistsError, FileNotFoundError, NumericalError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

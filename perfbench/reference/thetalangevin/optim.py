@@ -1,0 +1,123 @@
+"""Inner solvers for strongly convex subproblems with a gradient-norm stop rule.
+
+Each sampler step with an implicit component requires a point whose subproblem
+gradient norm falls below a tolerance. Both solvers here honor that contract:
+they stop as soon as the norm of the supplied gradient oracle drops to the
+tolerance, and report failure (never a silently bad point) when the iteration
+cap is reached first.
+"""
+
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve, LinAlgError
+
+from .errors import NumericalError
+
+NEWTON_ITER_CAP = 100
+GRADIENT_DESCENT_ITER_CAP = 10_000
+
+# Armijo parameters for the line search on the squared gradient norm.
+_ARMIJO_FACTOR = 1e-4
+_BACKTRACK_RATIO = 0.5
+_MAX_BACKTRACKS = 60
+
+
+@dataclass
+class SolveProblem:
+    """Strongly convex problem described by its gradient and Hessian oracles.
+
+    mu and lipschitz are the strong-convexity and gradient-Lipschitz moduli of
+    the objective (mu <= lipschitz). tol is the gradient-norm termination
+    tolerance; max_iter overrides the per-solver default cap when set.
+    """
+
+    gradient: Callable[[np.ndarray], np.ndarray]
+    hessian: Callable[[np.ndarray], np.ndarray]
+    mu: float
+    lipschitz: float
+    x0: np.ndarray
+    tol: float
+    max_iter: Optional[int] = None
+
+    def __post_init__(self):
+        if not (0.0 < self.mu <= self.lipschitz):
+            raise ValueError(
+                f"need 0 < mu <= lipschitz, got mu={self.mu}, lipschitz={self.lipschitz}"
+            )
+        if self.tol < 0:
+            raise ValueError(f"tolerance must be non-negative, got {self.tol}")
+        if self.tol == 0 and self.max_iter is None:
+            raise ValueError("tol == 0 requires a finite iteration cap")
+
+
+@dataclass
+class SolveResult:
+    x: np.ndarray
+    grad_norm: float
+    iterations: int
+    converged: bool
+
+
+def newton_solve(problem: SolveProblem) -> SolveResult:
+    """Newton iteration with backtracking line search on the squared gradient norm.
+
+    The Newton direction p solves H p = -g via Cholesky; since the termination
+    criterion is ||g|| <= tol, descent is enforced on ||g||^2 itself, for which
+    the Newton direction gives directional derivative -2||g||^2.
+    """
+    cap = NEWTON_ITER_CAP if problem.max_iter is None else problem.max_iter
+    x = np.array(problem.x0, dtype=float)
+    g = problem.gradient(x)
+    sq = float(g @ g)
+    iterations = 0
+    while sq > problem.tol**2 and iterations < cap:
+        hess = problem.hessian(x)
+        try:
+            factor = cho_factor(hess, lower=True)
+        except LinAlgError as exc:
+            raise NumericalError(
+                f"Cholesky factorization failed at iteration {iterations}; "
+                "Hessian is not positive definite"
+            ) from exc
+        step = cho_solve(factor, -g)
+        t = 1.0
+        accepted = False
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = x + t * step
+            g_new = problem.gradient(x_new)
+            sq_new = float(g_new @ g_new)
+            if sq_new <= sq * (1.0 - 2.0 * _ARMIJO_FACTOR * t):
+                accepted = True
+                break
+            t *= _BACKTRACK_RATIO
+        if not accepted:
+            # No productive step length left; ||g|| is at the numerical floor.
+            break
+        x, g, sq = x_new, g_new, sq_new
+        iterations += 1
+    grad_norm = float(np.sqrt(sq))
+    return SolveResult(x=x, grad_norm=grad_norm, iterations=iterations,
+                       converged=grad_norm <= problem.tol)
+
+
+def gradient_descent_solve(problem: SolveProblem) -> SolveResult:
+    """Fixed-step gradient descent with step 2/(mu + lipschitz).
+
+    Converges geometrically at rate (kappa-1)/(kappa+1) per step, where
+    kappa = lipschitz/mu. Mainly a cross-check for the Newton solver.
+    """
+    cap = GRADIENT_DESCENT_ITER_CAP if problem.max_iter is None else problem.max_iter
+    step_size = 2.0 / (problem.mu + problem.lipschitz)
+    x = np.array(problem.x0, dtype=float)
+    g = problem.gradient(x)
+    norm = float(np.linalg.norm(g))
+    iterations = 0
+    while norm > problem.tol and iterations < cap:
+        x = x - step_size * g
+        g = problem.gradient(x)
+        norm = float(np.linalg.norm(g))
+        iterations += 1
+    return SolveResult(x=x, grad_norm=norm, iterations=iterations,
+                       converged=norm <= problem.tol)

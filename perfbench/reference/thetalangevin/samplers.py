@@ -1,0 +1,295 @@
+"""Chain samplers built on theta-method discretization of Langevin dynamics.
+
+One step from x with noise z and step size h solves
+
+    x_next = x - (h/2) [theta * grad f(x_next) + (1-theta) * grad f(x)] + sqrt(h) z.
+
+theta = 0 is the explicit (forward Euler) update, computable in closed form;
+theta > 0 makes the update implicit. For Gaussian targets the implicit update
+is a linear solve; otherwise each step is a strongly convex subproblem solved
+to a gradient-norm tolerance by the optim module. The transition kernel density
+of the implicit update is available in closed form for diagnostics.
+"""
+
+import warnings
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve, LinAlgError
+
+from .errors import NumericalError
+from .optim import SolveProblem, SolveResult, newton_solve
+from .targets import GaussianTarget, TargetDensity, _check_point
+
+DIVERGENCE_THRESHOLD = 1e12
+
+LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+class StabilityWarning(UserWarning):
+    """Step size is in the regime where the explicit component can be transient."""
+
+
+@dataclass(frozen=True)
+class SamplerConfig:
+    """Chain parameters: blend theta, step size h, subproblem tolerance, length.
+
+    theta in [0, 1]; h > 0 in diffusion time units; eps >= 0 is the
+    gradient-norm tolerance of the implicit subproblem; n_steps >= 0; the seed
+    makes the noise sequence (and hence the chain) fully deterministic.
+    """
+
+    theta: float
+    h: float
+    eps: float = 1e-9
+    n_steps: int = 1000
+    seed: int = 0
+
+    def __post_init__(self):
+        if not (0.0 <= self.theta <= 1.0):
+            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+        if not self.h > 0:
+            raise ValueError(f"step size must be positive, got {self.h}")
+        if self.eps < 0:
+            raise ValueError(f"subproblem tolerance must be >= 0, got {self.eps}")
+        if self.n_steps < 0:
+            raise ValueError(f"number of steps must be >= 0, got {self.n_steps}")
+
+
+class NoiseStream:
+    """Standard normal vectors indexed by step, deterministic in (seed, index).
+
+    Every chain of one experiment that shares a seed consumes identical noise
+    at identical step indices (common random numbers), regardless of the
+    (theta, h) point it runs at. The optional stream id separates independent
+    uses (e.g. a reference chain) under the same seed.
+    """
+
+    def __init__(self, seed: int, dim: int, stream: int = 0):
+        self.seed = int(seed) % (1 << 64)
+        self.dim = int(dim)
+        self.stream = int(stream)
+
+    def vector(self, k: int) -> np.ndarray:
+        rng = np.random.default_rng((self.seed, self.stream, int(k)))
+        return rng.standard_normal(self.dim)
+
+
+@dataclass
+class Trajectory:
+    """Chain output: samples plus per-step inner-solver statistics.
+
+    Row 0 of samples is the initial point. If the chain diverged (an iterate
+    norm exceeded the divergence threshold), it is truncated at the offending
+    iterate and flagged.
+    """
+
+    samples: np.ndarray
+    solver_iterations: np.ndarray
+    grad_norms: np.ndarray
+    diverged: bool = False
+    noise_head: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+
+    @property
+    def n_steps(self) -> int:
+        return self.samples.shape[0] - 1
+
+
+def ula_step(target: TargetDensity, x, z, h: float) -> np.ndarray:
+    """Explicit update x - (h/2) grad f(x) + sqrt(h) z."""
+    x = _check_point(x, target.dim)
+    z = _check_point(z, target.dim)
+    return x - 0.5 * h * target.gradient(x) + np.sqrt(h) * z
+
+
+def subproblem_gradient(target: TargetDensity, u, v, theta: float, h: float) -> np.ndarray:
+    """Gradient of the implicit-step objective: theta*grad f(u) + (2/h)(u - v)."""
+    u = _check_point(u, target.dim)
+    v = _check_point(v, target.dim)
+    return theta * target.gradient(u) + (2.0 / h) * (u - v)
+
+
+def explicit_predictor(target: TargetDensity, x, z, theta: float, h: float) -> np.ndarray:
+    """The vector v = x - (h(1-theta)/2) grad f(x) + sqrt(h) z.
+
+    This is the proximity center of the implicit subproblem, the exact update
+    when theta = 0, and the warm start for the inner solver.
+    """
+    return x - 0.5 * h * (1.0 - theta) * target.gradient(x) + np.sqrt(h) * z
+
+
+def _gaussian_step_operator(target: GaussianTarget, theta: float, h: float):
+    """Cached factorization for the closed-form Gaussian update."""
+    key = (float(theta), float(h))
+    cached = target._step_cache.get(key)
+    if cached is None:
+        d = target.dim
+        implicit = np.eye(d) + 0.5 * h * theta * target.precision
+        explicit = np.eye(d) - 0.5 * h * (1.0 - theta) * target.precision
+        cached = (cho_factor(implicit, lower=True), explicit)
+        target._step_cache[key] = cached
+    return cached
+
+
+def ila_step_gaussian(target: GaussianTarget, x, z, theta: float, h: float) -> np.ndarray:
+    """Exact implicit update for a Gaussian target.
+
+    Solves (I + (h theta/2) Q) (x_next - mean) =
+    (I - (h(1-theta)/2) Q)(x - mean) + sqrt(h) z, with the left-hand
+    factorization computed once per (theta, h) and reused.
+    """
+    if not isinstance(target, GaussianTarget):
+        raise TypeError("closed-form step requires a GaussianTarget")
+    x = _check_point(x, target.dim)
+    z = _check_point(z, target.dim)
+    factor, explicit = _gaussian_step_operator(target, theta, h)
+    rhs = explicit @ (x - target.mean) + np.sqrt(h) * z
+    return cho_solve(factor, rhs) + target.mean
+
+
+def iila_step(target: TargetDensity, x, z, config: SamplerConfig) -> tuple[np.ndarray, SolveResult]:
+    """One inexact implicit step: solve the subproblem to gradient norm <= eps.
+
+    Returns the accepted point and the inner-solver statistics. The subproblem
+    has curvature bounds [theta*m + 2/h, theta*M + 2/h], and the solver warm
+    starts at the explicit predictor.
+    """
+    if config.theta <= 0.0:
+        raise ValueError("inexact implicit step requires theta > 0; use ula_step")
+    if config.eps <= 0.0:
+        raise ValueError("inexact implicit step requires eps > 0")
+    x = _check_point(x, target.dim)
+    z = _check_point(z, target.dim)
+    theta, h = config.theta, config.h
+    v = explicit_predictor(target, x, z, theta, h)
+    m, big_m = target.convexity_bounds()
+    eye_scale = 2.0 / h
+    scaled_eye = eye_scale * np.eye(target.dim)
+
+    def grad(u):
+        return theta * target.gradient(u) + eye_scale * (u - v)
+
+    def hess(u):
+        return theta * target.hessian(u) + scaled_eye
+
+    problem = SolveProblem(gradient=grad, hessian=hess,
+                           mu=theta * m + eye_scale, lipschitz=theta * big_m + eye_scale,
+                           x0=v, tol=config.eps)
+    result = newton_solve(problem)
+    return result.x, result
+
+
+def transition_log_density(target: TargetDensity, y, x, theta: float, h: float) -> float:
+    """Log density of one implicit step landing at y, started from x.
+
+    log |det(I + (h theta/2) hess f(y))| plus the log density of
+    N(x - (h(1-theta)/2) grad f(x), h I) evaluated at y + (h theta/2) grad f(y).
+    The determinant is computed by Cholesky, so an indefinite matrix raises.
+    """
+    y = _check_point(y, target.dim)
+    x = _check_point(x, target.dim)
+    d = target.dim
+    jac = np.eye(d) + 0.5 * h * theta * target.hessian(y)
+    try:
+        chol = np.linalg.cholesky(jac)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "transition density Jacobian is not positive definite"
+        ) from exc
+    log_det = 2.0 * float(np.log(np.diag(chol)).sum())
+    mean = x - 0.5 * h * (1.0 - theta) * target.gradient(x)
+    residual = y + 0.5 * h * theta * target.gradient(y) - mean
+    log_gauss = -0.5 * d * (LOG_2PI + np.log(h)) - float(residual @ residual) / (2.0 * h)
+    return log_det + log_gauss
+
+
+def dump_trajectory(trajectory: Trajectory, path, delimiter: str = ",") -> None:
+    """Write chain samples as delimited text, one sample per row."""
+    np.savetxt(path, trajectory.samples, delimiter=delimiter, fmt="%.17g")
+
+
+def stability_bound(theta: float, m: float, big_m: float) -> float:
+    """Largest step size with guaranteed geometric ergodicity for theta < 1/2.
+
+    For theta >= 1/2 every step size is stable and +inf is returned.
+    """
+    if theta >= 0.5:
+        return np.inf
+    return 4.0 * m / (big_m**2 * (1.0 - 2.0 * theta))
+
+
+def run_chain(target: TargetDensity, x0, config: SamplerConfig,
+              noise: NoiseStream | None = None) -> Trajectory:
+    """Run a chain of config.n_steps transitions from x0.
+
+    Dispatch: explicit update when theta = 0; closed-form implicit update for
+    Gaussian targets; otherwise the inexact implicit step (requires eps > 0).
+    Iterates whose norm exceeds the divergence threshold truncate the chain
+    and set the diverged flag, which is the expected outcome for the explicit
+    method at large step sizes. A capped-out inner solve raises instead of
+    contaminating the trajectory.
+    """
+    x0 = _check_point(x0, target.dim)
+    m, big_m = target.convexity_bounds()
+    bound = stability_bound(config.theta, m, big_m)
+    if config.h >= bound:
+        warnings.warn(
+            f"theta={config.theta} < 1/2 with h={config.h} >= {bound:.6g}: "
+            "outside the guaranteed-stability regime; the chain may diverge",
+            StabilityWarning, stacklevel=2,
+        )
+    if noise is None:
+        noise = NoiseStream(config.seed, target.dim)
+
+    gaussian = isinstance(target, GaussianTarget)
+    if config.theta > 0.0 and not gaussian and config.eps <= 0.0:
+        raise ValueError("non-Gaussian implicit chains need eps > 0")
+
+    # The loop body repeats the public step functions' arithmetic without
+    # their per-call input validation: iterates are vetted by the divergence
+    # check below, and the noise stream only emits finite vectors.
+    half_h = 0.5 * config.h
+    sqrt_h = np.sqrt(config.h)
+    if config.theta > 0.0 and gaussian:
+        factor, explicit = _gaussian_step_operator(target, config.theta, config.h)
+        mean = target.mean
+
+    n = config.n_steps
+    samples = np.empty((n + 1, target.dim))
+    samples[0] = x0
+    iterations = np.zeros(n, dtype=int)
+    grad_norms = np.zeros(n)
+    noise_head = np.empty((min(3, n), target.dim))
+    diverged = False
+    x = x0
+    k = 0
+    for k in range(n):
+        z = noise.vector(k)
+        if k < 3:
+            noise_head[k] = z
+        if config.theta == 0.0:
+            x = x - half_h * target.gradient(x) + sqrt_h * z
+        elif gaussian:
+            x = cho_solve(factor, explicit @ (x - mean) + sqrt_h * z) + mean
+        else:
+            x, stats = iila_step(target, x, z, config)
+            if not stats.converged:
+                raise NumericalError(
+                    f"inner solver failed at step {k}: grad norm "
+                    f"{stats.grad_norm:.3e} > eps {config.eps:.3e} "
+                    f"after {stats.iterations} iterations; chain aborted"
+                )
+            iterations[k] = stats.iterations
+            grad_norms[k] = stats.grad_norm
+        samples[k + 1] = x
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_THRESHOLD:
+            diverged = True
+            break
+    completed = k + 1 if n > 0 else 0
+    if diverged or completed < n:
+        samples = samples[: completed + 1]
+        iterations = iterations[:completed]
+        grad_norms = grad_norms[:completed]
+        noise_head = noise_head[: min(3, completed)]
+    return Trajectory(samples=samples, solver_iterations=iterations,
+                      grad_norms=grad_norms, diverged=diverged, noise_head=noise_head)

@@ -1,0 +1,290 @@
+"""Strongly log-concave target densities.
+
+A target is an unnormalized negative log-density f known up to an additive
+constant, together with its analytic gradient, Hessian, and curvature bounds
+(m, M): every Hessian eigenvalue lies in [m, M]. Two concrete families are
+provided: multivariate Gaussians and Bayesian logistic-regression posteriors
+with a Gaussian prior. Targets are immutable after construction and all
+evaluations are pure, so they are safe to share across threads.
+"""
+
+from typing import Optional
+
+import numpy as np
+from scipy.special import expit
+
+from .errors import NumericalError
+from .optim import SolveProblem, newton_solve
+
+_POWER_ITER_CAP = 10_000
+_POWER_ITER_RTOL = 1e-6
+
+MODE_GRAD_TOL = 1e-10
+
+
+def _check_point(x, dim: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise ValueError(f"expected a vector of length {dim}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input point contains non-finite entries")
+    return x
+
+
+class TargetDensity:
+    """Contract for an evaluable log-concave target.
+
+    Subclasses provide value/gradient/hessian (value only up to an additive
+    constant, which sampling never needs) and curvature bounds via
+    convexity_bounds().
+    """
+
+    dim: int
+
+    def value(self, x) -> float:
+        raise NotImplementedError
+
+    def gradient(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def hessian(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def convexity_bounds(self) -> tuple[float, float]:
+        """(m, M) with every Hessian eigenvalue inside [m, M]."""
+        raise NotImplementedError
+
+
+class GaussianTarget(TargetDensity):
+    """Quadratic target 0.5 (x - mean)' Q (x - mean) with precision Q.
+
+    The spectral factorization of Q is cached at construction; it provides the
+    exact curvature bounds, the covariance, and the symmetric square root of
+    the covariance used for exact sampling.
+    """
+
+    def __init__(self, mean, precision):
+        mean = np.asarray(mean, dtype=float)
+        precision = np.asarray(precision, dtype=float)
+        if mean.ndim != 1:
+            raise ValueError("mean must be a vector")
+        d = mean.size
+        if precision.shape != (d, d):
+            raise ValueError(f"precision must be {d}x{d}, got {precision.shape}")
+        if not np.allclose(precision, precision.T, rtol=0, atol=1e-10):
+            raise ValueError("precision matrix must be symmetric")
+        eigvals, eigvecs = np.linalg.eigh((precision + precision.T) / 2.0)
+        if eigvals[0] <= 0:
+            raise ValueError("precision matrix must be positive definite")
+        self.dim = d
+        self.mean = mean
+        self.precision = precision
+        self._eigvals = eigvals  # ascending
+        self._eigvecs = eigvecs
+        self._cov_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+        self._step_cache = {}  # (theta, h) -> cached implicit-step factorization
+        for arr in (self.mean, self.precision, self._cov_sqrt):
+            arr.flags.writeable = False
+
+    @classmethod
+    def from_covariance(cls, mean, covariance) -> "GaussianTarget":
+        covariance = np.asarray(covariance, dtype=float)
+        eigvals, eigvecs = np.linalg.eigh((covariance + covariance.T) / 2.0)
+        if eigvals[0] <= 0:
+            raise ValueError("covariance matrix must be positive definite")
+        precision = (eigvecs / eigvals) @ eigvecs.T
+        return cls(mean, (precision + precision.T) / 2.0)
+
+    @property
+    def covariance(self) -> np.ndarray:
+        return (self._eigvecs / self._eigvals) @ self._eigvecs.T
+
+    def value(self, x) -> float:
+        x = _check_point(x, self.dim)
+        r = x - self.mean
+        return 0.5 * float(r @ (self.precision @ r))
+
+    def gradient(self, x) -> np.ndarray:
+        x = _check_point(x, self.dim)
+        return self.precision @ (x - self.mean)
+
+    def hessian(self, x) -> np.ndarray:
+        _check_point(x, self.dim)
+        return self.precision
+
+    def convexity_bounds(self) -> tuple[float, float]:
+        return float(self._eigvals[0]), float(self._eigvals[-1])
+
+    def exact_sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n independent exact draws via the cached covariance square root."""
+        z = rng.standard_normal((n, self.dim))
+        return self.mean + z @ self._cov_sqrt
+
+
+class LogisticRegressionTarget(TargetDensity):
+    """Bayesian logistic-regression posterior with spherical Gaussian prior.
+
+    f(x) = sum_i [log(1 + exp(a_i'x)) - b_i a_i'x] + (prior_precision/2)||x||^2
+    for design rows a_i and binary labels b_i. The curvature bounds follow the
+    spectral sandwich m = prior_precision, M = ||A||^2/4 + prior_precision,
+    with ||A|| estimated by power iteration.
+    """
+
+    def __init__(self, design, labels, prior_precision: float = 1.0):
+        design = np.asarray(design, dtype=float)
+        labels = np.asarray(labels, dtype=float)
+        if design.ndim != 2:
+            raise ValueError("design must be a 2-d matrix")
+        n_obs, d = design.shape
+        if labels.shape != (n_obs,):
+            raise ValueError(f"labels must have length {n_obs}, got {labels.shape}")
+        if not np.all(np.isfinite(design)):
+            raise ValueError("design matrix contains non-finite entries")
+        if not np.all(np.isin(labels, (0.0, 1.0))):
+            raise ValueError("labels must be 0 or 1")
+        if not prior_precision > 0:
+            raise ValueError(f"prior precision must be positive, got {prior_precision}")
+        self.dim = d
+        self.design = design
+        self.labels = labels
+        self.prior_precision = float(prior_precision)
+        norm = spectral_norm(design)
+        self._bounds = (self.prior_precision, norm**2 / 4.0 + self.prior_precision)
+        for arr in (self.design, self.labels):
+            arr.flags.writeable = False
+
+    def value(self, x) -> float:
+        x = _check_point(x, self.dim)
+        t = self.design @ x
+        return float(np.logaddexp(0.0, t).sum() - self.labels @ t
+                     + 0.5 * self.prior_precision * (x @ x))
+
+    def gradient(self, x) -> np.ndarray:
+        x = _check_point(x, self.dim)
+        t = self.design @ x
+        return self.design.T @ (expit(t) - self.labels) + self.prior_precision * x
+
+    def hessian(self, x) -> np.ndarray:
+        x = _check_point(x, self.dim)
+        p = expit(self.design @ x)
+        weights = p * (1.0 - p)  # in (0, 1/4]
+        hess = self.design.T @ (self.design * weights[:, None])
+        hess[np.diag_indices_from(hess)] += self.prior_precision
+        return (hess + hess.T) / 2.0
+
+    def convexity_bounds(self) -> tuple[float, float]:
+        return self._bounds
+
+
+def spectral_norm(matrix: np.ndarray) -> float:
+    """Largest singular value, by power iteration on the Gram matrix.
+
+    Converges to relative tolerance 1e-6 on the norm estimate; raises
+    NumericalError if the cap is reached first.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.size == 0 or not np.any(matrix):
+        return 0.0
+    # Iterate on the smaller Gram matrix.
+    gram_on_cols = matrix.shape[1] <= matrix.shape[0]
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(matrix.shape[1] if gram_on_cols else matrix.shape[0])
+    v /= np.linalg.norm(v)
+    estimate = 0.0
+    for _ in range(_POWER_ITER_CAP):
+        if gram_on_cols:
+            w = matrix.T @ (matrix @ v)
+        else:
+            w = matrix @ (matrix.T @ v)
+        norm_w = np.linalg.norm(w)
+        if norm_w == 0.0:
+            return 0.0
+        new_estimate = float(np.sqrt(norm_w))  # sqrt of Rayleigh-quotient limit
+        v = w / norm_w
+        if abs(new_estimate - estimate) <= _POWER_ITER_RTOL * new_estimate:
+            return new_estimate
+        estimate = new_estimate
+    raise NumericalError(
+        f"power iteration did not converge within {_POWER_ITER_CAP} iterations"
+    )
+
+
+def standardize_design(features: np.ndarray, add_intercept: bool = True) -> np.ndarray:
+    """Center and scale each feature column to unit variance, append intercept.
+
+    Raises on constant columns, which cannot be scaled.
+    """
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[0] < 2:
+        raise ValueError("need a 2-d feature matrix with at least two rows")
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
+    constant = np.nonzero(std == 0.0)[0]
+    if constant.size:
+        raise ValueError(f"constant feature column(s) {constant.tolist()} cannot be standardized")
+    design = (features - mean) / std
+    if add_intercept:
+        design = np.hstack([design, np.ones((design.shape[0], 1))])
+    return design
+
+
+def load_dataset(path, label_col: int = 0, delimiter: str = ","):
+    """Read a delimited dataset: one observation per row, one label column.
+
+    Returns (features, labels) with labels coerced to {0, 1}. Rows that fail
+    to parse raise a ValueError naming the offending line number.
+    """
+    rows = []
+    n_cols = None
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(delimiter)
+            if n_cols is None:
+                n_cols = len(parts)
+                if n_cols < 2:
+                    raise ValueError(
+                        f"{path}: line {lineno}: need at least two columns, got {n_cols}"
+                    )
+            elif len(parts) != n_cols:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {n_cols} columns, got {len(parts)}"
+                )
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty dataset")
+    data = np.asarray(rows, dtype=float)
+    if not (-data.shape[1] <= label_col < data.shape[1]):
+        raise ValueError(f"label column {label_col} out of range for {data.shape[1]} columns")
+    labels = data[:, label_col]
+    features = np.delete(data, label_col % data.shape[1], axis=1)
+    unique = np.unique(labels)
+    if unique.size > 2:
+        raise ValueError(
+            f"{path}: labels must be binary, found {unique.size} distinct values"
+        )
+    if not np.all(np.isin(unique, (0.0, 1.0))):
+        # Two arbitrary level values: map smaller -> 0, larger -> 1.
+        labels = (labels == unique.max()).astype(float)
+    return features, labels
+
+
+def mode(target: TargetDensity, x0: Optional[np.ndarray] = None,
+         tol: float = MODE_GRAD_TOL) -> np.ndarray:
+    """Minimizer of the target, by Newton with gradient tolerance 1e-10."""
+    m, big_m = target.convexity_bounds()
+    start = np.zeros(target.dim) if x0 is None else np.asarray(x0, dtype=float)
+    problem = SolveProblem(gradient=target.gradient, hessian=target.hessian,
+                           mu=m, lipschitz=big_m, x0=start, tol=tol)
+    result = newton_solve(problem)
+    if not result.converged:
+        raise NumericalError(
+            f"mode finding did not converge: grad norm {result.grad_norm:.3e} "
+            f"after {result.iterations} iterations"
+        )
+    return result.x
