@@ -3,14 +3,16 @@
 Subcommands: `gaussian` (ill-conditioned correlation-matrix Gaussian sweep),
 `logistic` (Bayesian logistic-regression posterior sweep against a fine-step
 reference chain), `heuristic` (step-size recommendation), and `contour`
-(transition-kernel grid dump for a 2-d target). Experiments emit CSV rows,
-one per (theta, h) grid point, using common random numbers across the grid.
+(transition-kernel grid dump for a 2-d target). Both sweeps run through
+`run_sweep`, one CSV row per (theta, h) grid point, with common random numbers
+across the grid. Config files are parsed by the `ExperimentConfig` annotations.
 """
 
 import argparse
 import math
 import os
 import sys
+import typing
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -73,10 +75,14 @@ class ExperimentConfig:
             if any(h <= 0 for h in hs):
                 raise ValueError("h grid values must be strictly positive")
             self.h_values = tuple(sorted(hs))
+        self.thetas = tuple(float(t) for t in self.thetas)
         if any(not 0.0 <= t <= 1.0 for t in self.thetas):
             raise ValueError("theta values must lie in [0, 1]")
         if self.burn_in < 0:
             raise ValueError("burn-in must be >= 0")
+        for name in ("thin", "ref_thin"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -117,37 +123,24 @@ def build_gaussian_target(dim: int, kappa: float, seed: int) -> GaussianTarget:
     return GaussianTarget.from_covariance(np.zeros(dim), corr)
 
 
-def _chain_samples(target, config: ExperimentConfig, theta: float, h: float,
-                   n_keep: int, thin: int = 1, stream: int = _STREAM_CHAIN,
-                   expected_noise_head=None):
-    """Run one chain and return (kept samples or None if diverged, diverged)."""
-    n_steps = config.burn_in + n_keep * thin
+def _grid_row(target, config: ExperimentConfig, theta: float, h: float,
+              reference: SampleSet, sigma: float, compute_mmtv: bool = True) -> GridRow:
+    """Score the chain at (theta, h) against the reference. theta = 0 rows keep
+    every config.thin-th sample, so explicit and implicit budgets compare."""
+    thin = config.thin if theta == 0.0 else 1
     chain_config = SamplerConfig(theta=theta, h=h, eps=config.eps,
-                                 n_steps=n_steps, seed=config.seed)
-    noise = NoiseStream(config.seed, target.dim, stream=stream)
+                                 n_steps=config.burn_in + config.n_samples * thin,
+                                 seed=config.seed)
+    noise = NoiseStream(config.seed, target.dim, stream=_STREAM_CHAIN)
     with warnings.catch_warnings():
         # The sweep probes unstable step sizes on purpose; divergence is
         # reported through the output row, not a per-point warning.
         warnings.simplefilter("ignore", StabilityWarning)
         trajectory = run_chain(target, np.zeros(target.dim), chain_config, noise=noise)
-    if expected_noise_head is not None and trajectory.noise_head.size:
-        rows = trajectory.noise_head.shape[0]
-        if not np.array_equal(trajectory.noise_head, expected_noise_head[:rows]):
-            raise RuntimeError("common-random-numbers contract violated across grid")
     if trajectory.diverged:
-        return None, True
-    kept = trajectory.samples[config.burn_in + thin::thin]
-    return kept, False
-
-
-def _grid_row(target, config: ExperimentConfig, theta: float, h: float,
-              reference: SampleSet, sigma: float, thin: int,
-              expected_noise_head, compute_mmtv: bool = True) -> GridRow:
-    kept, diverged = _chain_samples(target, config, theta, h, config.n_samples,
-                                    thin=thin, expected_noise_head=expected_noise_head)
-    if diverged:
         return GridRow(theta=theta, h=h, mmtv=math.nan, mmd2=math.nan, diverged=True)
-    sample_set = SampleSet(kept, label=f"theta={theta} h={h}")
+    sample_set = SampleSet(trajectory.samples[config.burn_in + thin::thin],
+                           label=f"theta={theta} h={h}")
     mmtv_val = diagnostics.mmtv(sample_set, reference) if compute_mmtv else math.nan
     mmd_val = diagnostics.mmd2(sample_set, reference, sigma)
     return GridRow(theta=theta, h=h, mmtv=mmtv_val, mmd2=mmd_val, diverged=False)
@@ -161,36 +154,6 @@ def _run_grid(jobs, workers: int):
         return [f.result() for f in futures]
 
 
-def run_gaussian_experiment(config: ExperimentConfig,
-                            compute_mmtv: bool = True) -> list[GridRow]:
-    """Discrepancy sweep over (theta, h) against exact reference samples.
-
-    The target is a zero-mean Gaussian with a random correlation covariance of
-    condition number kappa; the reference set is drawn exactly through the
-    covariance square root, which is strictly better than any chain. All
-    chains share the step-indexed noise sequence.
-    """
-    target = build_gaussian_target(config.dim, config.kappa, config.seed)
-    m, big_m = target.convexity_bounds()
-    h_half = theory.step_size_heuristic(1.0 / np.linalg.eigvalsh(target.covariance), 0.5)
-    h_grid = resolve_h_grid(config, big_m, h_half)
-
-    ref_rng = np.random.default_rng((config.seed, _STREAM_EXACT_REFERENCE))
-    reference = SampleSet(target.exact_sample(config.n_samples, ref_rng), label="exact")
-    sigma = diagnostics.median_bandwidth(reference, seed=config.seed)
-    noise_head = np.stack([NoiseStream(config.seed, target.dim).vector(k) for k in range(3)])
-
-    jobs = [
-        (lambda th=th, h=h: _grid_row(target, config, th, h, reference, sigma,
-                                      thin=1, expected_noise_head=noise_head,
-                                      compute_mmtv=compute_mmtv))
-        for th in config.thetas for h in h_grid
-    ]
-    rows = _run_grid(jobs, config.workers)
-    rows.sort(key=lambda r: (r.theta, r.h))
-    return rows
-
-
 def build_logistic_target(config: ExperimentConfig) -> LogisticRegressionTarget:
     if config.dataset is None:
         raise ValueError("logistic experiment needs --dataset")
@@ -199,38 +162,56 @@ def build_logistic_target(config: ExperimentConfig) -> LogisticRegressionTarget:
     return LogisticRegressionTarget(design, labels, prior_precision=config.prior_precision)
 
 
-def run_logistic_experiment(config: ExperimentConfig,
-                            compute_mmtv: bool = True) -> list[GridRow]:
-    """Discrepancy sweep on a logistic-regression posterior.
+def _gaussian_sweep_setup(config: ExperimentConfig):
+    """Correlation-matrix Gaussian of condition number kappa; the reference set
+    is drawn exactly, which is strictly better than any chain."""
+    target = build_gaussian_target(config.dim, config.kappa, config.seed)
+    h_half = theory.step_size_heuristic(1.0 / np.linalg.eigvalsh(target.covariance), 0.5)
 
-    The reference set comes from a long fine-step implicit chain at
-    theta = 1/2 with step h_half/10, thinned; the grid includes a thinned
-    explicit comparator at theta = 0 (thinning factor config.thin) so
-    computation budgets are comparable.
-    """
+    def build_reference():
+        ref_rng = np.random.default_rng((config.seed, _STREAM_EXACT_REFERENCE))
+        return SampleSet(target.exact_sample(config.n_samples, ref_rng), label="exact")
+    return target, h_half, build_reference
+
+
+def _logistic_sweep_setup(config: ExperimentConfig):
+    """Logistic-regression posterior; the reference set is a long theta = 1/2
+    chain at step ref_h (default h_half/10), thinned by ref_thin."""
     target = build_logistic_target(config)
     m, big_m = target.convexity_bounds()
-    model = matrixgen.SpectralModel(d=target.dim, m=m, M=big_m)
-    h_half = theory.step_size_heuristic_model(model, 0.5)
-    h_grid = resolve_h_grid(config, big_m, h_half)
+    h_half = theory.step_size_heuristic_model(
+        matrixgen.SpectralModel(d=target.dim, m=m, M=big_m), 0.5)
 
-    ref_h = config.ref_h if config.ref_h is not None else h_half / 10.0
-    ref_keep = (config.ref_steps // config.ref_thin if config.ref_steps is not None
-                else config.n_samples)
-    ref_config = SamplerConfig(theta=0.5, h=ref_h, eps=config.eps,
-                               n_steps=ref_keep * config.ref_thin, seed=config.seed)
-    ref_noise = NoiseStream(config.seed, target.dim, stream=_STREAM_REFERENCE_CHAIN)
-    ref_traj = run_chain(target, np.zeros(target.dim), ref_config, noise=ref_noise)
-    reference = SampleSet(ref_traj.samples[config.ref_thin::config.ref_thin],
-                          label="reference-chain")
+    def build_reference():
+        ref_h = config.ref_h if config.ref_h is not None else h_half / 10.0
+        ref_keep = (config.ref_steps // config.ref_thin if config.ref_steps is not None
+                    else config.n_samples)
+        ref_config = SamplerConfig(theta=0.5, h=ref_h, eps=config.eps,
+                                   n_steps=ref_keep * config.ref_thin, seed=config.seed)
+        ref_noise = NoiseStream(config.seed, target.dim, stream=_STREAM_REFERENCE_CHAIN)
+        ref_traj = run_chain(target, np.zeros(target.dim), ref_config, noise=ref_noise)
+        return SampleSet(ref_traj.samples[config.ref_thin::config.ref_thin],
+                         label="reference-chain")
+    return target, h_half, build_reference
+
+
+_SWEEP_SETUPS = {"gaussian": _gaussian_sweep_setup, "logistic": _logistic_sweep_setup}
+
+
+def run_sweep(config: ExperimentConfig, compute_mmtv: bool = True) -> list[GridRow]:
+    """Discrepancy sweep over (theta, h), rows sorted by (theta, h). config.kind
+    picks the target, the step h_half bounding the default h grid, and the
+    reference set, which is built only once the h grid has been resolved."""
+    setup = _SWEEP_SETUPS.get(config.kind)
+    if setup is None:
+        raise ValueError(f"no sweep for kind {config.kind!r}; use one of {sorted(_SWEEP_SETUPS)}")
+    target, h_half, build_reference = setup(config)
+    h_grid = resolve_h_grid(config, target.convexity_bounds()[1], h_half)
+    reference = build_reference()
     sigma = diagnostics.median_bandwidth(reference, seed=config.seed)
-    noise_head = np.stack([NoiseStream(config.seed, target.dim).vector(k) for k in range(3)])
-
     jobs = [
-        (lambda th=th, h=h: _grid_row(
-            target, config, th, h, reference, sigma,
-            thin=(config.thin if th == 0.0 else 1),
-            expected_noise_head=noise_head, compute_mmtv=compute_mmtv))
+        (lambda th=th, h=h: _grid_row(target, config, th, h, reference, sigma,
+                                      compute_mmtv=compute_mmtv))
         for th in config.thetas for h in h_grid
     ]
     rows = _run_grid(jobs, config.workers)
@@ -326,24 +307,24 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_PARSERS = {
-    "dim": int, "kappa": float, "label_col": int, "prior_precision": float,
-    "h_count": int, "n_samples": int, "eps": float, "seed": int,
-    "burn_in": int, "thin": int, "ref_steps": int, "ref_thin": int,
-    "ref_h": float, "overwrite": lambda s: s.lower() in ("1", "true", "yes"),
-    "workers": int, "grid_count": int, "span": float,
-    "h_min": float, "h_max": float,
-    "thetas": lambda s: tuple(float(v) for v in s.split(",")),
-    "h_values": lambda s: tuple(float(v) for v in s.split(",")),
-    "source": lambda s: tuple(float(v) for v in s.split(",")),
-}
+def _floats(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.split(","))
 
 
 def _coerce_config_values(raw: dict) -> dict:
+    """Parse config-file strings by the ExperimentConfig field annotations:
+    bool is 1/true/yes, tuple is comma-separated floats, X | None is X."""
+    hints = typing.get_type_hints(ExperimentConfig)
     out = {}
     for key, value in raw.items():
-        parser = _CONFIG_PARSERS.get(key, str)
-        out[key] = parser(value)
+        base = next((t for t in typing.get_args(hints[key]) if t is not type(None)),
+                    hints[key])
+        if base is bool:
+            out[key] = value.lower() in ("1", "true", "yes")
+        elif base is tuple:
+            out[key] = _floats(value)
+        else:
+            out[key] = base(value)
     return out
 
 
@@ -408,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont.add_argument("--dataset")
     p_cont.add_argument("--label-col", type=int, dest="label_col")
     p_cont.add_argument("--lambda", type=float, dest="prior_precision")
-    p_cont.add_argument("--source", help="source point as 'x,y'")
+    p_cont.add_argument("--source", type=_floats, help="source point as 'x,y'")
     p_cont.add_argument("--grid-count", type=int, dest="grid_count")
     p_cont.add_argument("--span", type=float)
     p_cont.add_argument("--dump-matrix", dest="dump_matrix",
@@ -418,26 +399,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace, kind: str) -> ExperimentConfig:
+    """Defaults, then config-file values, then flags; the subcommand sets kind."""
     config = ExperimentConfig(kind=kind, seed=_default_seed())
     if kind == "gaussian":
         config = replace(config, thin=1)
     elif kind == "heuristic":
         config = replace(config, thetas=(0.5,))
+    values = {}
     if getattr(args, "config", None):
-        file_values = _coerce_config_values(load_config_file(args.config))
-        config = replace(config, **file_values)
-    overrides = {}
+        values = _coerce_config_values(load_config_file(args.config))
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name, None)
         if value is not None:
-            overrides[f.name] = value
-    if "thetas" in overrides:
-        overrides["thetas"] = tuple(overrides["thetas"])
-    if "h_values" in overrides:
-        overrides["h_values"] = tuple(overrides["h_values"])
-    if "source" in overrides and isinstance(overrides["source"], str):
-        overrides["source"] = tuple(float(v) for v in overrides["source"].split(","))
-    return replace(config, **overrides)
+            values[f.name] = value
+    values["kind"] = kind
+    return replace(config, **values)
 
 
 def _emit(config: ExperimentConfig, header: list[str], csv_rows) -> None:
@@ -451,22 +427,13 @@ def _emit(config: ExperimentConfig, header: list[str], csv_rows) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gaussian":
-            config = config_from_args(args, "gaussian")
-            rows = run_gaussian_experiment(config)
+        config = config_from_args(args, args.command)
+        if args.command in _SWEEP_SETUPS:
             _emit(config, ["theta", "h", "mmtv", "mmd2", "diverged"],
-                  grid_rows_to_csv(rows))
-            return 0
-
-        if args.command == "logistic":
-            config = config_from_args(args, "logistic")
-            rows = run_logistic_experiment(config)
-            _emit(config, ["theta", "h", "mmtv", "mmd2", "diverged"],
-                  grid_rows_to_csv(rows))
+                  grid_rows_to_csv(run_sweep(config)))
             return 0
 
         if args.command == "heuristic":
-            config = config_from_args(args, "heuristic")
             eigenvalues = None
             m = big_m = None
             if args.spectrum:
@@ -486,7 +453,6 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "contour":
-            config = config_from_args(args, "contour")
             rows = run_kernel_contour(config)
             if getattr(args, "dump_matrix", None):
                 target = (build_logistic_target(config) if config.dataset

@@ -14,7 +14,7 @@ density of the implicit update is available in closed form for diagnostics.
 import functools
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class Trajectory:
     solver_iterations: np.ndarray
     grad_norms: np.ndarray
     diverged: bool = False
-    noise_head: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     @property
     def n_steps(self) -> int:
@@ -260,14 +259,11 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
     samples[0] = x0
     iterations = np.zeros(n, dtype=int)
     grad_norms = np.zeros(n)
-    noise_head = np.empty((min(3, n), target.dim))
     diverged = False
     x = x0
     k = 0
     for k in range(n):
         z = noise.vector(k)
-        if k < 3:
-            noise_head[k] = z
         if gaussian:
             x = gaussian_step(x, z)
         elif config.theta == 0.0:
@@ -276,8 +272,8 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
             x, stats = iila_step(target, x, z, config)
             if not stats.converged:
                 raise NumericalError(
-                    f"inner solver failed at step {k}: grad norm "
-                    f"{stats.grad_norm:.3e} > eps {config.eps:.3e} "
+                    f"inner solver failed at theta={config.theta}, h={config.h}, step {k}: "
+                    f"grad norm {stats.grad_norm:.3e} > eps {config.eps:.3e} "
                     f"after {stats.iterations} iterations; chain aborted"
                 )
             iterations[k] = stats.iterations
@@ -291,6 +287,5 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
         samples = samples[: completed + 1]
         iterations = iterations[:completed]
         grad_norms = grad_norms[:completed]
-        noise_head = noise_head[: min(3, completed)]
     return Trajectory(samples=samples, solver_iterations=iterations,
-                      grad_norms=grad_norms, diverged=diverged, noise_head=noise_head)
+                      grad_norms=grad_norms, diverged=diverged)

@@ -30,7 +30,7 @@ from thetalangevin import (
     transition_log_density,
     w2_bound,
 )
-from thetalangevin.cli import ExperimentConfig, build_gaussian_target, run_gaussian_experiment
+from thetalangevin.cli import ExperimentConfig, build_gaussian_target, run_sweep
 from thetalangevin.samplers import explicit_predictor
 
 
@@ -194,7 +194,7 @@ def test_criterion_8_heuristic_near_optimality():
         h_values=tuple(sorted(set(grid) | {h_half})), n_samples=5000,
         seed=seed, thin=1,
     )
-    rows = run_gaussian_experiment(config, compute_mmtv=False)
+    rows = run_sweep(config, compute_mmtv=False)
     at_heuristic = next(r.mmd2 for r in rows if r.theta == 0.5 and r.h == h_half)
     grid_min = min(r.mmd2 for r in rows if r.theta == 0.5 and not r.diverged)
     explicit_rows = [r.mmd2 for r in rows

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from thetalangevin import (
 )
 from thetalangevin.cli import (
     ExperimentConfig,
+    _coerce_config_values,
     build_gaussian_target,
     grid_rows_to_csv,
     load_config_file,
     main,
-    run_gaussian_experiment,
     run_kernel_contour,
-    run_logistic_experiment,
+    run_sweep,
     write_rows,
 )
 
@@ -46,8 +47,8 @@ def write_synthetic_dataset(path, n_obs=60, dim=3, seed=0):
 
 def test_gaussian_experiment_rows_and_determinism():
     config = small_gaussian_config()
-    rows = run_gaussian_experiment(config)
-    again = run_gaussian_experiment(config)
+    rows = run_sweep(config)
+    again = run_sweep(config)
     assert [(r.theta, r.h, r.mmtv, r.mmd2, r.diverged) for r in rows] == \
         [(r.theta, r.h, r.mmtv, r.mmd2, r.diverged) for r in again]
     assert [(r.theta, r.h) for r in rows] == [(0.0, 0.5), (0.0, 2.0), (0.5, 0.5), (0.5, 2.0)]
@@ -63,7 +64,7 @@ def test_gaussian_kappa_one_chain_is_noise_level():
     # independent exact sample sets.
     config = ExperimentConfig(kind="gaussian", dim=6, kappa=1.0, thetas=(0.5,),
                               h_values=(4.0,), n_samples=800, seed=2, thin=1)
-    row = run_gaussian_experiment(config)[0]
+    row = run_sweep(config)[0]
     target = build_gaussian_target(6, 1.0, seed=2)
     first = SampleSet(target.exact_sample(800, np.random.default_rng(100)))
     second = SampleSet(target.exact_sample(800, np.random.default_rng(200)))
@@ -80,7 +81,7 @@ def test_gaussian_experiment_flags_ula_divergence():
     _, big_m = target.convexity_bounds()
     config = small_gaussian_config(h_values=(8.0 / big_m * 2.0,), thetas=(0.0, 0.5),
                                   n_samples=400)
-    rows = run_gaussian_experiment(config)
+    rows = run_sweep(config)
     ula_row = next(r for r in rows if r.theta == 0.0)
     implicit_row = next(r for r in rows if r.theta == 0.5)
     assert ula_row.diverged
@@ -88,11 +89,25 @@ def test_gaussian_experiment_flags_ula_divergence():
     assert not implicit_row.diverged
 
 
-def test_gaussian_experiment_worker_pool_matches_serial():
-    serial = run_gaussian_experiment(small_gaussian_config(workers=1))
-    parallel = run_gaussian_experiment(small_gaussian_config(workers=3))
+@pytest.mark.parametrize("kind", ["gaussian", "logistic"])
+def test_sweep_worker_pool_matches_serial(kind, tmp_path):
+    if kind == "gaussian":
+        config = small_gaussian_config()
+    else:
+        dataset = tmp_path / "synthetic.csv"
+        write_synthetic_dataset(dataset, n_obs=30, dim=2, seed=4)
+        config = ExperimentConfig(kind="logistic", dataset=str(dataset),
+                                  thetas=(0.0, 0.5), h_values=(0.2, 1.0),
+                                  n_samples=60, seed=5, thin=3, ref_thin=2)
+    serial = run_sweep(replace(config, workers=1))
+    parallel = run_sweep(replace(config, workers=3))
     assert [(r.theta, r.h, r.mmtv, r.mmd2) for r in serial] == \
         [(r.theta, r.h, r.mmtv, r.mmd2) for r in parallel]
+
+
+def test_sweep_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="no sweep for kind 'contour'"):
+        run_sweep(ExperimentConfig(kind="contour"))
 
 
 def test_logistic_experiment_end_to_end(tmp_path):
@@ -101,7 +116,7 @@ def test_logistic_experiment_end_to_end(tmp_path):
     config = ExperimentConfig(kind="logistic", dataset=str(dataset),
                               thetas=(0.0, 0.5), h_values=(0.2, 1.0),
                               n_samples=80, seed=5, thin=5, ref_thin=2, eps=1e-8)
-    rows = run_logistic_experiment(config)
+    rows = run_sweep(config)
     assert len(rows) == 4
     produced = [r for r in rows if not r.diverged]
     assert produced, "at least some grid points must produce samples"
@@ -126,7 +141,7 @@ def test_logistic_zero_design_reduces_to_gaussian_prior():
 
 def test_write_rows_refuses_overwrite(tmp_path):
     out = tmp_path / "rows.csv"
-    rows = grid_rows_to_csv(run_gaussian_experiment(small_gaussian_config(n_samples=50)))
+    rows = grid_rows_to_csv(run_sweep(small_gaussian_config(n_samples=50)))
     write_rows(str(out), ["theta", "h", "mmtv", "mmd2", "diverged"], rows, overwrite=False)
     with pytest.raises(FileExistsError):
         write_rows(str(out), ["theta", "h", "mmtv", "mmd2", "diverged"], rows,
@@ -179,6 +194,29 @@ def test_cli_logistic_subcommand(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "theta,h,mmtv,mmd2,diverged"
     assert len(lines) == 2
+
+
+def test_cli_gaussian_thin_applies_to_explicit_rows(tmp_path):
+    argv = ["gaussian", "--dim", "4", "--kappa", "10", "--theta", "0", "--theta", "0.5",
+            "--h", "0.1", "--h", "0.3", "--samples", "80", "--seed", "3"]
+    default, thinned = tmp_path / "default.csv", tmp_path / "thinned.csv"
+    assert main(argv + ["--out", str(default)]) == 0
+    assert main(argv + ["--thin", "2", "--out", str(thinned)]) == 0
+    default_rows = default.read_text().splitlines()[1:]
+    thinned_rows = thinned.read_text().splitlines()[1:]
+    explicit = [i for i, row in enumerate(default_rows) if row.startswith("0,")]
+    assert explicit == [0, 1]
+    for i, (a, b) in enumerate(zip(default_rows, thinned_rows)):
+        assert (a != b) if i in explicit else (a == b)
+
+
+@pytest.mark.parametrize("flag, field", [("--thin", "thin"), ("--ref-thin", "ref_thin")])
+def test_cli_logistic_rejects_nonpositive_thinning(tmp_path, capsys, flag, field):
+    dataset = tmp_path / "synthetic.csv"
+    write_synthetic_dataset(dataset, n_obs=20, dim=2, seed=1)
+    assert main(["logistic", "--dataset", str(dataset), "--theta", "0",
+                 "--h", "0.5", flag, "0"]) == 1
+    assert f"error: {field} must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_cli_exit_zero_with_diverged_rows(tmp_path):
@@ -298,6 +336,41 @@ def test_config_file_flags_win(tmp_path):
     assert main(["gaussian", "--config", str(cfg), "--seed", "4",
                  "--out", str(out_b)]) == 0
     assert out_a.read_bytes() != out_b.read_bytes()
+
+
+def test_config_file_kind_does_not_override_subcommand(tmp_path):
+    settings = "dim=4\nkappa=10\nthetas=0.5\nh_values=1.0\nn_samples=50\nseed=3\n"
+    plain, with_kind = tmp_path / "plain.cfg", tmp_path / "kind.cfg"
+    plain.write_text(settings)
+    with_kind.write_text("kind = logistic\n" + settings)
+    out_plain, out_kind = tmp_path / "plain.csv", tmp_path / "kind.csv"
+    assert main(["gaussian", "--config", str(plain), "--out", str(out_plain)]) == 0
+    assert main(["gaussian", "--config", str(with_kind), "--out", str(out_kind)]) == 0
+    assert out_plain.read_bytes() == out_kind.read_bytes()
+
+
+def test_config_file_parses_every_field_by_annotation(tmp_path):
+    expected = dict(
+        kind="logistic", dim=7, kappa=12.5, dataset="data.csv", label_col=2,
+        prior_precision=0.25, thetas=(0.0, 0.75), h_values=(0.5, 2.0), h_min=0.001,
+        h_max=30.0, h_count=9, n_samples=321, eps=1e-7, seed=42, burn_in=5, thin=4,
+        ref_steps=1000, ref_thin=3, ref_h=0.0625, out="rows.csv", overwrite=True,
+        workers=2, source=(1.5, -2.0), grid_count=17, span=3.5,
+    )
+    assert set(expected) == {f.name for f in fields(ExperimentConfig)}
+    text = {"thetas": "0,0.75", "h_values": "0.5, 2", "source": "1.5,-2",
+            "overwrite": "Yes", "eps": "1e-7"}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {text.get(key, value)}\n"
+                           for key, value in expected.items()))
+    parsed = _coerce_config_values(load_config_file(str(cfg)))
+    assert parsed == expected
+    for key, value in expected.items():
+        assert type(parsed[key]) is type(value), key
+    assert type(parsed["thetas"][0]) is float and type(parsed["source"][0]) is float
+    assert ExperimentConfig(**parsed) == ExperimentConfig(**expected)
+    for falsy in ("0", "false", "no"):
+        assert _coerce_config_values({"overwrite": falsy}) == {"overwrite": False}
 
 
 def test_config_file_rejects_unknown_key(tmp_path):

@@ -342,14 +342,19 @@ def test_run_chain_theta_zero_matches_manual_explicit_loop():
         np.testing.assert_array_equal(traj.samples[k + 1], x)
 
 
-def test_run_chain_noise_head_shared_across_grid():
+def test_run_chain_common_noise_across_grid():
+    # With Q = I each step is x_{k+1} = a x_k + b z_k, so every grid chain's
+    # noise can be recovered and checked against the shared stream.
     target = GaussianTarget(np.zeros(2), np.eye(2))
-    heads = []
+    stream = NoiseStream(77, 2)
     for theta, h in [(0.0, 0.5), (0.5, 2.0), (1.0, 10.0)]:
         config = SamplerConfig(theta=theta, h=h, n_steps=5, seed=77)
-        heads.append(run_chain(target, np.zeros(2), config).noise_head)
-    np.testing.assert_array_equal(heads[0], heads[1])
-    np.testing.assert_array_equal(heads[0], heads[2])
+        samples = run_chain(target, np.ones(2), config).samples
+        a = (1.0 - 0.5 * h * (1.0 - theta)) / (1.0 + 0.5 * h * theta)
+        b = np.sqrt(h) / (1.0 + 0.5 * h * theta)
+        for k in range(5):
+            z = (samples[k + 1] - a * samples[k]) / b
+            np.testing.assert_allclose(z, stream.vector(k), rtol=0, atol=1e-12)
 
 
 def test_run_chain_rejects_exact_solve_request_off_gaussian():
@@ -364,7 +369,8 @@ def test_run_chain_aborts_on_inner_solver_failure():
 
     target = make_logistic(n_obs=10, dim=2, seed=15)
     config = SamplerConfig(theta=1.0, h=1.0, eps=1e-300, n_steps=5, seed=2)
-    with pytest.raises(NumericalError, match="inner solver"):
+    with pytest.raises(NumericalError,
+                       match=r"inner solver failed at theta=1\.0, h=1\.0, step 0: "):
         run_chain(target, np.zeros(2), config)
 
 
