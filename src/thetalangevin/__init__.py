@@ -6,21 +6,11 @@ large-step asymptotics, step-size heuristic), discrepancy diagnostics
 (MMTV, MMD), and a CLI experiment harness.
 """
 
-from .diagnostics import (
-    DiscrepancyReport,
-    SampleSet,
-    discrepancy_report,
-    gauss_kronrod,
-    kde_marginal,
-    median_bandwidth,
-    mmd2,
-    mmtv,
-)
+from .diagnostics import Reference, SampleSet, median_bandwidth, mmd2, mmtv
 from .errors import (
     DegenerateBandwidthError,
     NumericalError,
     OutOfRegimeError,
-    QuadratureAccuracyError,
 )
 from .matrixgen import SpectralModel, exp_decay_spectrum, random_correlation
 from .optim import SolveProblem, SolveResult, newton_solve

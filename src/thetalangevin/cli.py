@@ -83,6 +83,12 @@ class ExperimentConfig:
         for name in ("thin", "ref_thin"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # A sample set needs at least two points.
+        if self.n_samples < 2:
+            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
+        if self.ref_steps is not None and self.ref_steps < 2 * self.ref_thin:
+            raise ValueError(f"ref_steps ({self.ref_steps}) must be at least 2 * ref_thin "
+                             f"({self.ref_thin}) to keep two reference points")
 
 
 @dataclass
@@ -124,7 +130,7 @@ def build_gaussian_target(dim: int, kappa: float, seed: int) -> GaussianTarget:
 
 
 def _grid_row(target, config: ExperimentConfig, theta: float, h: float,
-              reference: SampleSet, sigma: float, compute_mmtv: bool = True) -> GridRow:
+              reference: diagnostics.Reference, compute_mmtv: bool = True) -> GridRow:
     """Score the chain at (theta, h) against the reference. theta = 0 rows keep
     every config.thin-th sample, so explicit and implicit budgets compare."""
     thin = config.thin if theta == 0.0 else 1
@@ -142,7 +148,7 @@ def _grid_row(target, config: ExperimentConfig, theta: float, h: float,
     sample_set = SampleSet(trajectory.samples[config.burn_in + thin::thin],
                            label=f"theta={theta} h={h}")
     mmtv_val = diagnostics.mmtv(sample_set, reference) if compute_mmtv else math.nan
-    mmd_val = diagnostics.mmd2(sample_set, reference, sigma)
+    mmd_val = diagnostics.mmd2(sample_set, reference)
     return GridRow(theta=theta, h=h, mmtv=mmtv_val, mmd2=mmd_val, diverged=False)
 
 
@@ -201,16 +207,16 @@ _SWEEP_SETUPS = {"gaussian": _gaussian_sweep_setup, "logistic": _logistic_sweep_
 def run_sweep(config: ExperimentConfig, compute_mmtv: bool = True) -> list[GridRow]:
     """Discrepancy sweep over (theta, h), rows sorted by (theta, h). config.kind
     picks the target, the step h_half bounding the default h grid, and the
-    reference set, which is built only once the h grid has been resolved."""
+    reference set, which is built only once the h grid has been resolved. The
+    reference side of both discrepancies is computed once, for every row."""
     setup = _SWEEP_SETUPS.get(config.kind)
     if setup is None:
         raise ValueError(f"no sweep for kind {config.kind!r}; use one of {sorted(_SWEEP_SETUPS)}")
     target, h_half, build_reference = setup(config)
     h_grid = resolve_h_grid(config, target.convexity_bounds()[1], h_half)
-    reference = build_reference()
-    sigma = diagnostics.median_bandwidth(reference, seed=config.seed)
+    reference = diagnostics.Reference.from_samples(build_reference(), seed=config.seed)
     jobs = [
-        (lambda th=th, h=h: _grid_row(target, config, th, h, reference, sigma,
+        (lambda th=th, h=h: _grid_row(target, config, th, h, reference,
                                       compute_mmtv=compute_mmtv))
         for th in config.thetas for h in h_grid
     ]
@@ -242,16 +248,22 @@ def run_heuristic(config: ExperimentConfig, eigenvalues=None,
     return results
 
 
-def run_kernel_contour(config: ExperimentConfig) -> list[tuple]:
+def build_contour_target(config: ExperimentConfig):
+    """Logistic posterior of config.dataset if given, else the 2-d Gaussian."""
+    if config.dataset is not None:
+        return build_logistic_target(config)
+    return build_gaussian_target(2, config.kappa, config.seed)
+
+
+def run_kernel_contour(config: ExperimentConfig, target=None) -> list[tuple]:
     """Transition-density values on a square grid around a source point.
 
     Requires a 2-d target (Gaussian via kappa, or logistic with one feature
-    column plus intercept). Returns rows (theta, x, y, log_density).
+    column plus intercept); it is built from config unless given. Returns rows
+    (theta, x, y, log_density).
     """
-    if config.dataset is not None:
-        target = build_logistic_target(config)
-    else:
-        target = build_gaussian_target(2, config.kappa, config.seed)
+    if target is None:
+        target = build_contour_target(config)
     if target.dim != 2:
         raise ValueError(f"kernel contours need a 2-d target, got dim {target.dim}")
     if config.source is not None:
@@ -453,12 +465,13 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "contour":
-            rows = run_kernel_contour(config)
-            if getattr(args, "dump_matrix", None):
-                target = (build_logistic_target(config) if config.dataset
-                          else build_gaussian_target(2, config.kappa, config.seed))
-                if isinstance(target, GaussianTarget):
-                    matrixgen.dump_matrix(target.covariance, args.dump_matrix)
+            if args.dump_matrix and config.dataset is not None:
+                raise ValueError("--dump-matrix writes a Gaussian target's covariance; "
+                                 "it cannot be used with --dataset")
+            target = build_contour_target(config)
+            rows = run_kernel_contour(config, target)
+            if args.dump_matrix:
+                matrixgen.dump_matrix(target.covariance, args.dump_matrix)
             csv_rows = [[_fmt(t), _fmt(x), _fmt(y), _fmt(lp)] for t, x, y, lp in rows]
             write_rows(config.out, ["theta", "x", "y", "log_density"],
                        csv_rows, config.overwrite)

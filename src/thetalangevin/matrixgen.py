@@ -10,7 +10,6 @@ diagonal to one with Givens rotations.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import random_correlation as _scipy_random_correlation
 
 from .errors import NumericalError
 
@@ -70,9 +69,13 @@ def random_correlation(eigenvalues, seed: int) -> np.ndarray:
     if np.ptp(lam) < 1e-14:
         # Flat unit spectrum: the identity is the only correlation matrix.
         return np.eye(d)
+    # scipy.stats is imported here, not at module top: it costs about 0.5 s
+    # per process, and only this function needs it.
+    from scipy.stats import random_correlation as scipy_random_correlation
+
     rng = np.random.default_rng(seed)
     try:
-        corr = _scipy_random_correlation.rvs(lam, random_state=rng)
+        corr = scipy_random_correlation.rvs(lam, random_state=rng)
     except Exception as exc:  # scipy signals rotation failure via raise
         raise NumericalError(f"correlation matrix construction failed: {exc}") from exc
     corr = (corr + corr.T) / 2.0

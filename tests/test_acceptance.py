@@ -17,7 +17,6 @@ from thetalangevin import (
     NoiseStream,
     SampleSet,
     SamplerConfig,
-    gauss_kronrod,
     iila_step,
     ila_step_gaussian,
     mmd2,
@@ -32,6 +31,8 @@ from thetalangevin import (
 )
 from thetalangevin.cli import ExperimentConfig, build_gaussian_target, run_sweep
 from thetalangevin.samplers import explicit_predictor
+
+from oracles import gauss_kronrod
 
 
 def report(num: int, name: str, ok: bool, detail: str):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,6 +16,7 @@ from thetalangevin import (
     step_size_heuristic,
     transition_log_density,
 )
+from thetalangevin import cli
 from thetalangevin.cli import (
     ExperimentConfig,
     _coerce_config_values,
@@ -427,3 +431,72 @@ def test_cli_logistic_empty_dataset(tmp_path, capsys):
     dataset.write_text("")
     assert main(["logistic", "--dataset", str(dataset)]) == 1
     assert "empty" in capsys.readouterr().err
+
+
+def test_cli_contour_dump_matrix_rejects_dataset(tmp_path, capsys, monkeypatch):
+    dataset = tmp_path / "one_feature.csv"
+    write_synthetic_dataset(dataset, n_obs=50, dim=1, seed=3)
+    dumped = tmp_path / "cov.csv"
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("contour rows computed before the --dump-matrix check")
+
+    monkeypatch.setattr(cli, "run_kernel_contour", no_rows)
+    assert main(["contour", "--dataset", str(dataset), "--theta", "1", "--h", "1.0",
+                 "--grid-count", "4", "--dump-matrix", str(dumped)]) == 1
+    assert "--dump-matrix" in capsys.readouterr().err
+    assert not dumped.exists()
+
+
+def test_cli_contour_dump_matrix_builds_target_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting_build(*args):
+        built.append(build_gaussian_target(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_gaussian_target", counting_build)
+    dumped = tmp_path / "cov.csv"
+    assert main(["contour", "--kappa", "4", "--theta", "0.5", "--h", "1.0",
+                 "--grid-count", "4", "--span", "2", "--seed", "4",
+                 "--out", str(tmp_path / "contour.csv"), "--dump-matrix", str(dumped)]) == 0
+    assert len(built) == 1
+    np.testing.assert_allclose(np.loadtxt(dumped, delimiter=","), built[0].covariance,
+                               rtol=1e-15)
+
+
+def _forbid_chains(monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran before the config check")
+
+    monkeypatch.setattr(cli, "run_chain", no_chain)
+
+
+def test_cli_logistic_rejects_ref_steps_below_two_ref_thin(tmp_path, capsys, monkeypatch):
+    dataset = tmp_path / "synthetic.csv"
+    write_synthetic_dataset(dataset, n_obs=20, dim=2, seed=1)
+    _forbid_chains(monkeypatch)
+    assert main(["logistic", "--dataset", str(dataset), "--theta", "0.5", "--h", "0.5",
+                 "--ref-steps", "5", "--ref-thin", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "ref_steps (5)" in err and "ref_thin (10)" in err
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "logistic"])
+def test_cli_rejects_fewer_than_two_samples(tmp_path, capsys, monkeypatch, kind):
+    dataset = tmp_path / "synthetic.csv"
+    write_synthetic_dataset(dataset, n_obs=20, dim=2, seed=1)
+    _forbid_chains(monkeypatch)
+    extra = ["--dataset", str(dataset)] if kind == "logistic" else ["--dim", "4"]
+    assert main([kind, "--theta", "0.5", "--h", "0.5", "--samples", "1"] + extra) == 1
+    assert "error: n_samples must be >= 2, got 1" in capsys.readouterr().err
+
+
+def test_import_cli_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, thetalangevin.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"

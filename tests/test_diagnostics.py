@@ -3,19 +3,26 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
 from thetalangevin import (
     DegenerateBandwidthError,
-    QuadratureAccuracyError,
+    Reference,
     SampleSet,
-    discrepancy_report,
-    gauss_kronrod,
-    kde_marginal,
+    diagnostics,
     median_bandwidth,
     mmd2,
     mmtv,
 )
+from thetalangevin.cli import ExperimentConfig, run_sweep
 from thetalangevin.diagnostics import silverman_bandwidth
+
+from oracles import (
+    QuadratureAccuracyError,
+    gauss_kronrod,
+    gauss_kronrod_marginal_tv,
+    kde_marginal,
+)
 
 
 def as_set(array):
@@ -196,15 +203,116 @@ def test_mmtv_bounded_on_random_pairs():
         assert -1e-8 <= value <= 1.0 + 1e-8
 
 
-# ---------------------------------------------------------------------- report
+def _test_pairs():
+    """The pairs of the mmtv tests above: identical, disjoint, shifted, random."""
+    rng = np.random.default_rng(4)
+    same = as_set(rng.standard_normal((100, 3)))
+    pairs = [("identical", same, same)]
+    rng = np.random.default_rng(5)
+    pairs.append(("disjoint", as_set(-100.0 + rng.standard_normal((500, 1))),
+                  as_set(100.0 + rng.standard_normal((500, 1)))))
+    rng = np.random.default_rng(6)
+    pairs.append(("shifted", as_set(rng.standard_normal((5000, 1))),
+                  as_set(rng.standard_normal((5000, 1)) + 0.5)))
+    rng = np.random.default_rng(8)
+    for k in range(5):
+        p = as_set(rng.standard_normal((60, 2)) * rng.uniform(0.5, 2.0))
+        q = as_set(rng.standard_normal((80, 2)) + rng.normal(scale=2.0))
+        pairs.append((f"random {k}", p, q))
+    return pairs
 
-def test_discrepancy_report_fields():
+
+def _gaussian_sweep_pairs(monkeypatch):
+    """(row, chain set, reference set) of every non-diverged row of the d=20,
+    kappa=100 gaussian sweep at 400 samples, seed 1, 6 step sizes."""
+    pairs = []
+    real_mmtv = diagnostics.mmtv
+
+    def recording_mmtv(p, q):
+        pairs.append((p.label, p, q.samples))
+        return real_mmtv(p, q)
+
+    monkeypatch.setattr(diagnostics, "mmtv", recording_mmtv)
+    config = ExperimentConfig(kind="gaussian", dim=20, kappa=100.0, thetas=(0.0, 0.5, 1.0),
+                              h_count=6, n_samples=400, seed=1, thin=1)
+    rows = run_sweep(config)
+    assert len(pairs) == sum(not r.diverged for r in rows) > 0
+    return pairs
+
+
+def test_mmtv_matches_gauss_kronrod_oracle(monkeypatch):
+    pairs = _gaussian_sweep_pairs(monkeypatch) + _test_pairs()
+    worst = 0.0
+    for label, p, q in pairs:
+        for i in range(p.dim):
+            fast = mmtv(SampleSet(p.points[:, [i]]), SampleSet(q.points[:, [i]]))
+            oracle = gauss_kronrod_marginal_tv(p.points[:, i], q.points[:, i])
+            assert fast == pytest.approx(oracle, abs=1e-6), (label, i)
+            worst = max(worst, abs(fast - oracle))
+    print(f"worst |mmtv - Gauss-Kronrod| per coordinate over {len(pairs)} pairs: {worst:.2e}")
+
+
+@pytest.mark.parametrize("spread", [1e2, 1e3])
+def test_mmtv_wide_set_beside_narrow_set_meets_lower_bound(spread):
+    # With [a, b] the narrow set's range widened by four bandwidths,
+    # TV >= Q([a, b]) - P([a, b]) = 1 - P([a, b]) - Q(outside [a, b]). At spread
+    # 1000, adaptive Gauss-Kronrod over the whole range steps over the narrow
+    # KDE and returns about 0.5.
+    rng = np.random.default_rng(5)
+    q_col = rng.standard_normal(400)
+    p_col = spread * rng.standard_normal(400)
+    bw_p, bw_q = silverman_bandwidth(p_col), silverman_bandwidth(q_col)
+    a, b = q_col.min() - 4.0 * bw_q, q_col.max() + 4.0 * bw_q
+
+    def kde_mass(col, bw):
+        return ndtr((b - col) / bw).mean() - ndtr((a - col) / bw).mean()
+
+    lower = 1.0 - kde_mass(p_col, bw_p) - (1.0 - kde_mass(q_col, bw_q))
+    value = mmtv(as_set(p_col[:, None]), as_set(q_col[:, None]))
+    assert lower > 0.97
+    assert lower - 1e-12 <= value <= 1.0
+
+
+def test_mmtv_symmetric_exactly():
+    for label, p, q in _test_pairs():
+        assert mmtv(p, q) == mmtv(q, p), label
+
+
+def test_mmtv_rejects_constant_coordinate():
+    p = as_set(np.column_stack([np.arange(5.0), np.ones(5)]))
+    q = as_set(np.random.default_rng(0).standard_normal((5, 2)))
+    with pytest.raises(DegenerateBandwidthError, match="coordinate 1 of p"):
+        mmtv(p, q)
+
+
+# ------------------------------------------------------------------- reference
+
+def test_reference_fields():
     rng = np.random.default_rng(9)
-    p = as_set(rng.standard_normal((200, 2)))
     q = as_set(rng.standard_normal((300, 2)))
-    report = discrepancy_report(p, q)
-    assert 0.0 <= report.mmtv <= 1.0
-    assert report.mmd2 >= -1e-12
-    assert report.kernel_sigma > 0
-    assert report.kde_bandwidths.shape == (2,)
-    assert report.quadrature_tol == 1e-8
+    reference = Reference.from_samples(q, seed=4)
+    assert reference.samples is q
+    assert reference.sigma == median_bandwidth(q, seed=4)
+    assert reference.bandwidths.shape == (2,)
+    assert not reference.bandwidths.flags.writeable
+    for i in range(2):
+        assert reference.bandwidths[i] == pytest.approx(silverman_bandwidth(q.points[:, i]),
+                                                        rel=1e-12)
+    assert 0.0 < reference.mean_qq <= 1.0
+
+
+def test_reference_gives_fresh_call_values_bit_for_bit():
+    rng = np.random.default_rng(10)
+    q = as_set(rng.standard_normal((300, 3)))
+    reference = Reference.from_samples(q, seed=2)
+    sigma = median_bandwidth(q, seed=2)
+    for shift in (0.0, 0.3, 5.0):
+        p = as_set(rng.standard_normal((200, 3)) + shift)
+        assert mmd2(p, reference) == mmd2(p, q, sigma)
+        assert mmtv(p, reference) == mmtv(p, q)
+
+
+def test_mmd2_reference_rejects_second_sigma():
+    q = as_set(np.random.default_rng(11).standard_normal((30, 2)))
+    with pytest.raises(ValueError, match="own kernel bandwidth"):
+        mmd2(q, Reference.from_samples(q), 1.0)

@@ -11,7 +11,6 @@ from thetalangevin import (
     NoiseStream,
     SamplerConfig,
     StabilityWarning,
-    gauss_kronrod,
     iila_step,
     ila_step_gaussian,
     run_chain,
@@ -23,7 +22,7 @@ from thetalangevin.cli import build_gaussian_target
 from thetalangevin.samplers import DIVERGENCE_THRESHOLD, _gaussian_kernel, explicit_predictor
 from thetalangevin.theory import gaussian_stationary_covariance
 
-from oracles import bisect_root, cholesky_gaussian_step, fd_gradient
+from oracles import bisect_root, cholesky_gaussian_step, fd_gradient, gauss_kronrod
 from test_targets import make_logistic
 
 
