@@ -27,24 +27,17 @@ _MAX_BACKTRACKS = 60
 class SolveProblem:
     """Strongly convex problem described by its gradient and Hessian oracles.
 
-    mu and lipschitz are the strong-convexity and gradient-Lipschitz moduli of
-    the objective (mu <= lipschitz). tol is the gradient-norm termination
-    tolerance; max_iter overrides the per-solver default cap when set.
+    tol is the gradient-norm termination tolerance; max_iter overrides the
+    per-solver default cap when set.
     """
 
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    mu: float
-    lipschitz: float
     x0: np.ndarray
     tol: float
     max_iter: Optional[int] = None
 
     def __post_init__(self):
-        if not (0.0 < self.mu <= self.lipschitz):
-            raise ValueError(
-                f"need 0 < mu <= lipschitz, got mu={self.mu}, lipschitz={self.lipschitz}"
-            )
         if self.tol < 0:
             raise ValueError(f"tolerance must be non-negative, got {self.tol}")
         if self.tol == 0 and self.max_iter is None:

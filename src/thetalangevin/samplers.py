@@ -31,6 +31,13 @@ class StabilityWarning(UserWarning):
     """Step size is in the regime where the explicit component can be transient."""
 
 
+def _check_theta_h(theta: float, h: float) -> None:
+    if not (0.0 <= theta <= 1.0):
+        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Chain parameters: blend theta, step size h, subproblem tolerance, length.
@@ -47,10 +54,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= 1.0):
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if not self.h > 0:
-            raise ValueError(f"step size must be positive, got {self.h}")
+        _check_theta_h(self.theta, self.h)
         if self.eps < 0:
             raise ValueError(f"subproblem tolerance must be >= 0, got {self.eps}")
         if self.n_steps < 0:
@@ -95,27 +99,17 @@ class Trajectory:
         return self.samples.shape[0] - 1
 
 
-def ula_step(target: TargetDensity, x, z, h: float) -> np.ndarray:
-    """Explicit update x - (h/2) grad f(x) + sqrt(h) z."""
-    x = _check_point(x, target.dim)
-    z = _check_point(z, target.dim)
-    return x - 0.5 * h * target.gradient(x) + np.sqrt(h) * z
+def _check_step(target: TargetDensity, x, z, theta: float, h: float):
+    _check_theta_h(theta, h)
+    return _check_point(x, target.dim), _check_point(z, target.dim)
 
 
-def subproblem_gradient(target: TargetDensity, u, v, theta: float, h: float) -> np.ndarray:
-    """Gradient of the implicit-step objective: theta*grad f(u) + (2/h)(u - v)."""
-    u = _check_point(u, target.dim)
-    v = _check_point(v, target.dim)
-    return theta * target.gradient(u) + (2.0 / h) * (u - v)
-
-
-def explicit_predictor(target: TargetDensity, x, z, theta: float, h: float) -> np.ndarray:
-    """The vector v = x - (h(1-theta)/2) grad f(x) + sqrt(h) z.
-
-    This is the proximity center of the implicit subproblem, the exact update
-    when theta = 0, and the warm start for the inner solver.
-    """
-    return x - 0.5 * h * (1.0 - theta) * target.gradient(x) + np.sqrt(h) * z
+# Step kernels, built once per (target, theta, h[, eps]) from validated
+# parameters: each maps (x, z) -> (x_next, SolveResult | None).
+def _explicit_kernel(target: TargetDensity, theta: float, h: float):
+    """x, z -> x - (h(1-theta)/2) grad f(x) + sqrt(h) z."""
+    drift, sqrt_h = 0.5 * h * (1.0 - theta), np.sqrt(h)
+    return lambda x, z: (x - drift * target.gradient(x) + sqrt_h * z, None)
 
 
 @functools.lru_cache(maxsize=8)
@@ -131,7 +125,54 @@ def _gaussian_kernel(target_ref: weakref.ref, theta: float, h: float):
     denom = 1.0 + 0.5 * h * theta * lam
     a = (1.0 - 0.5 * h * (1.0 - theta) * lam) / denom
     step_x, step_z = (vecs * a) @ vecs.T, (vecs * (np.sqrt(h) / denom)) @ vecs.T
-    return lambda x, z: step_x @ (x - mean) + step_z @ z + mean
+    return lambda x, z: (step_x @ (x - mean) + step_z @ z + mean, None)
+
+
+def _subproblem_gradient(target: TargetDensity, u, v, theta: float, scale: float):
+    return theta * target.gradient(u) + scale * (u - v)
+
+
+def _newton_kernel(target: TargetDensity, theta: float, h: float, eps: float):
+    """Inexact implicit step: Newton on the subproblem, warm started at the
+    explicit predictor v, to gradient norm <= eps."""
+    if eps <= 0.0:
+        raise ValueError(f"inexact implicit step requires eps > 0, got {eps}")
+    predict = _explicit_kernel(target, theta, h)
+    scale = 2.0 / h
+    scaled_eye = scale * np.eye(target.dim)
+
+    def hessian(u):
+        return theta * target.hessian(u) + scaled_eye
+
+    def step(x, z):
+        v = predict(x, z)[0]
+        problem = SolveProblem(gradient=lambda u: _subproblem_gradient(target, u, v, theta, scale),
+                               hessian=hessian, x0=v, tol=eps)
+        result = newton_solve(problem)
+        return result.x, result
+
+    return step
+
+
+def ula_step(target: TargetDensity, x, z, h: float) -> np.ndarray:
+    """Explicit update x - (h/2) grad f(x) + sqrt(h) z."""
+    return explicit_predictor(target, x, z, 0.0, h)
+
+
+def subproblem_gradient(target: TargetDensity, u, v, theta: float, h: float) -> np.ndarray:
+    """Gradient of the implicit-step objective: theta*grad f(u) + (2/h)(u - v)."""
+    u, v = _check_step(target, u, v, theta, h)
+    return _subproblem_gradient(target, u, v, theta, 2.0 / h)
+
+
+def explicit_predictor(target: TargetDensity, x, z, theta: float, h: float) -> np.ndarray:
+    """The vector v = x - (h(1-theta)/2) grad f(x) + sqrt(h) z.
+
+    This is the proximity center of the implicit subproblem, the exact update
+    when theta = 0, and the warm start for the inner solver.
+    """
+    x, z = _check_step(target, x, z, theta, h)
+    return _explicit_kernel(target, theta, h)(x, z)[0]
 
 
 def ila_step_gaussian(target: GaussianTarget, x, z, theta: float, h: float) -> np.ndarray:
@@ -143,9 +184,8 @@ def ila_step_gaussian(target: GaussianTarget, x, z, theta: float, h: float) -> n
     """
     if not isinstance(target, GaussianTarget):
         raise TypeError("closed-form step requires a GaussianTarget")
-    x = _check_point(x, target.dim)
-    z = _check_point(z, target.dim)
-    return _gaussian_kernel(weakref.ref(target), float(theta), float(h))(x, z)
+    x, z = _check_step(target, x, z, theta, h)
+    return _gaussian_kernel(weakref.ref(target), float(theta), float(h))(x, z)[0]
 
 
 def iila_step(target: TargetDensity, x, z, config: SamplerConfig) -> tuple[np.ndarray, SolveResult]:
@@ -157,27 +197,8 @@ def iila_step(target: TargetDensity, x, z, config: SamplerConfig) -> tuple[np.nd
     """
     if config.theta <= 0.0:
         raise ValueError("inexact implicit step requires theta > 0; use ula_step")
-    if config.eps <= 0.0:
-        raise ValueError("inexact implicit step requires eps > 0")
-    x = _check_point(x, target.dim)
-    z = _check_point(z, target.dim)
-    theta, h = config.theta, config.h
-    v = explicit_predictor(target, x, z, theta, h)
-    m, big_m = target.convexity_bounds()
-    eye_scale = 2.0 / h
-    scaled_eye = eye_scale * np.eye(target.dim)
-
-    def grad(u):
-        return theta * target.gradient(u) + eye_scale * (u - v)
-
-    def hess(u):
-        return theta * target.hessian(u) + scaled_eye
-
-    problem = SolveProblem(gradient=grad, hessian=hess,
-                           mu=theta * m + eye_scale, lipschitz=theta * big_m + eye_scale,
-                           x0=v, tol=config.eps)
-    result = newton_solve(problem)
-    return result.x, result
+    x, z = _check_step(target, x, z, config.theta, config.h)
+    return _newton_kernel(target, config.theta, config.h, config.eps)(x, z)
 
 
 def transition_log_density(target: TargetDensity, y, x, theta: float, h: float) -> float:
@@ -187,8 +208,7 @@ def transition_log_density(target: TargetDensity, y, x, theta: float, h: float) 
     N(x - (h(1-theta)/2) grad f(x), h I) evaluated at y + (h theta/2) grad f(y).
     The determinant is computed by Cholesky, so an indefinite matrix raises.
     """
-    y = _check_point(y, target.dim)
-    x = _check_point(x, target.dim)
+    y, x = _check_step(target, y, x, theta, h)
     d = target.dim
     jac = np.eye(d) + 0.5 * h * theta * target.hessian(y)
     try:
@@ -198,7 +218,7 @@ def transition_log_density(target: TargetDensity, y, x, theta: float, h: float) 
             "transition density Jacobian is not positive definite"
         ) from exc
     log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-    mean = x - 0.5 * h * (1.0 - theta) * target.gradient(x)
+    mean = explicit_predictor(target, x, np.zeros(d), theta, h)
     residual = y + 0.5 * h * theta * target.gradient(y) - mean
     log_gauss = -0.5 * d * (LOG_2PI + np.log(h)) - float(residual @ residual) / (2.0 * h)
     return log_det + log_gauss
@@ -241,18 +261,17 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
         )
     if noise is None:
         noise = NoiseStream(config.seed, target.dim)
+    if noise.dim != target.dim:
+        raise ValueError(f"noise dimension {noise.dim} != target dimension {target.dim}")
 
-    gaussian = isinstance(target, GaussianTarget)
-    if config.theta > 0.0 and not gaussian and config.eps <= 0.0:
-        raise ValueError("non-Gaussian implicit chains need eps > 0")
-
-    # The loop body runs the public step functions' kernels without their
-    # per-call input validation: iterates are vetted by the divergence
-    # check below, and the noise stream only emits finite vectors.
-    half_h = 0.5 * config.h
-    sqrt_h = np.sqrt(config.h)
-    if gaussian:
-        gaussian_step = _gaussian_kernel(weakref.ref(target), float(config.theta), float(config.h))
+    # The kernels skip per-step input validation: iterates are vetted by the
+    # divergence check below, and the noise stream only emits finite vectors.
+    if isinstance(target, GaussianTarget):
+        step = _gaussian_kernel(weakref.ref(target), float(config.theta), float(config.h))
+    elif config.theta == 0.0:
+        step = _explicit_kernel(target, 0.0, config.h)
+    else:
+        step = _newton_kernel(target, config.theta, config.h, config.eps)
 
     n = config.n_steps
     samples = np.empty((n + 1, target.dim))
@@ -263,13 +282,8 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
     x = x0
     k = 0
     for k in range(n):
-        z = noise.vector(k)
-        if gaussian:
-            x = gaussian_step(x, z)
-        elif config.theta == 0.0:
-            x = x - half_h * target.gradient(x) + sqrt_h * z
-        else:
-            x, stats = iila_step(target, x, z, config)
+        x, stats = step(x, noise.vector(k))
+        if stats is not None:
             if not stats.converged:
                 raise NumericalError(
                     f"inner solver failed at theta={config.theta}, h={config.h}, step {k}: "

@@ -4,8 +4,9 @@ A target is an unnormalized negative log-density f known up to an additive
 constant, together with its analytic gradient, Hessian, and curvature bounds
 (m, M): every Hessian eigenvalue lies in [m, M]. Two concrete families are
 provided: multivariate Gaussians and Bayesian logistic-regression posteriors
-with a Gaussian prior. Targets are immutable after construction and all
-evaluations are pure, so they are safe to share across threads.
+with a Gaussian prior. Targets copy their input arrays, are immutable after
+construction, and all evaluations are pure, so they are safe to share across
+threads.
 """
 
 from typing import Optional
@@ -64,8 +65,8 @@ class GaussianTarget(TargetDensity):
     """
 
     def __init__(self, mean, precision):
-        mean = np.asarray(mean, dtype=float)
-        precision = np.asarray(precision, dtype=float)
+        mean = np.array(mean, dtype=float)
+        precision = np.array(precision, dtype=float)
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
         d = mean.size
@@ -135,8 +136,8 @@ class LogisticRegressionTarget(TargetDensity):
     """
 
     def __init__(self, design, labels, prior_precision: float = 1.0):
-        design = np.asarray(design, dtype=float)
-        labels = np.asarray(labels, dtype=float)
+        design = np.array(design, dtype=float)
+        labels = np.array(labels, dtype=float)
         if design.ndim != 2:
             raise ValueError("design must be a 2-d matrix")
         n_obs, d = design.shape
@@ -281,10 +282,8 @@ def load_dataset(path, label_col: int = 0, delimiter: str = ","):
 def mode(target: TargetDensity, x0: Optional[np.ndarray] = None,
          tol: float = MODE_GRAD_TOL) -> np.ndarray:
     """Minimizer of the target, by Newton with gradient tolerance 1e-10."""
-    m, big_m = target.convexity_bounds()
     start = np.zeros(target.dim) if x0 is None else np.asarray(x0, dtype=float)
-    problem = SolveProblem(gradient=target.gradient, hessian=target.hessian,
-                           mu=m, lipschitz=big_m, x0=start, tol=tol)
+    problem = SolveProblem(gradient=target.gradient, hessian=target.hessian, x0=start, tol=tol)
     result = newton_solve(problem)
     if not result.converged:
         raise NumericalError(

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import NumericalError, OutOfRegimeError
 from .matrixgen import SpectralModel, exp_decay_spectrum
 from .optim import SolveProblem, newton_solve
+from .samplers import _check_theta_h
 from .targets import TargetDensity, mode
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -46,10 +47,7 @@ class ContractionParams:
 def condition_number_kappa(theta: float, h: float, m: float, big_m: float) -> float:
     """Subproblem condition number (1 + theta*h*M/2) / (1 + theta*h*m/2)."""
     _check_curvature(m, big_m)
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    _check_theta_h(theta, h)
     return (1.0 + 0.5 * theta * h * big_m) / (1.0 + 0.5 * theta * h * m)
 
 
@@ -86,10 +84,7 @@ def contraction(theta: float, h: float, m: float, big_m: float) -> ContractionPa
     switch point by construction.
     """
     _check_curvature(m, big_m)
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    _check_theta_h(theta, h)
     kappa = condition_number_kappa(theta, h, m, big_m)
     switch = _switch_point(theta, m, big_m)
     if h <= switch or theta == 1.0:
@@ -136,7 +131,6 @@ def theta_map(target: TargetDensity, x, theta: float) -> np.ndarray:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     x = np.asarray(x, dtype=float)
     rhs = (1.0 - 1.0 / theta) * target.gradient(x)
-    m, big_m = target.convexity_bounds()
 
     def grad(u):
         return target.gradient(u) - rhs
@@ -144,8 +138,7 @@ def theta_map(target: TargetDensity, x, theta: float) -> np.ndarray:
     for start in (x, None):
         if start is None:
             start = mode(target)
-        problem = SolveProblem(gradient=grad, hessian=target.hessian,
-                               mu=m, lipschitz=big_m, x0=start,
+        problem = SolveProblem(gradient=grad, hessian=target.hessian, x0=start,
                                tol=THETA_MAP_GRAD_TOL)
         result = newton_solve(problem)
         if result.converged:

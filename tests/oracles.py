@@ -61,14 +61,15 @@ def bisect_root(fun, lo, hi, tol=1e-12, max_iter=200):
     return 0.5 * (lo + hi)
 
 
-def gradient_descent_solve(problem: SolveProblem) -> SolveResult:
+def gradient_descent_solve(problem: SolveProblem, mu: float, lipschitz: float) -> SolveResult:
     """Fixed-step gradient descent with step 2/(mu + lipschitz).
 
-    Converges geometrically at rate (kappa-1)/(kappa+1) per step, where
-    kappa = lipschitz/mu.
+    mu and lipschitz are the strong-convexity and gradient-Lipschitz moduli of
+    the objective. Converges geometrically at rate (kappa-1)/(kappa+1) per
+    step, where kappa = lipschitz/mu.
     """
     cap = GRADIENT_DESCENT_ITER_CAP if problem.max_iter is None else problem.max_iter
-    step_size = 2.0 / (problem.mu + problem.lipschitz)
+    step_size = 2.0 / (mu + lipschitz)
     x = np.array(problem.x0, dtype=float)
     g = problem.gradient(x)
     norm = float(np.linalg.norm(g))

@@ -16,9 +16,8 @@ def quadratic_problem(dim=6, tol=1e-12, seed=0, **kwargs):
     return SolveProblem(
         gradient=lambda x: matrix @ (x - center),
         hessian=lambda x: matrix,
-        mu=eigs[0], lipschitz=eigs[-1],
         x0=rng.standard_normal(dim), tol=tol, **kwargs,
-    ), center
+    ), center, (eigs[0], eigs[-1])
 
 
 def logistic_subproblem(theta=1.0, h=1.0, v=0.4):
@@ -43,7 +42,7 @@ def logistic_subproblem(theta=1.0, h=1.0, v=0.4):
 
 
 def test_newton_exact_on_quadratic():
-    problem, center = quadratic_problem()
+    problem, center, _ = quadratic_problem()
     result = newton_solve(problem)
     assert result.converged
     assert result.iterations == 1
@@ -52,7 +51,7 @@ def test_newton_exact_on_quadratic():
 
 
 def test_newton_zero_iterations_at_solution():
-    problem, center = quadratic_problem()
+    problem, center, _ = quadratic_problem()
     problem.x0 = center
     result = newton_solve(problem)
     assert result.converged
@@ -61,8 +60,7 @@ def test_newton_zero_iterations_at_solution():
 
 def test_newton_matches_bisection_oracle():
     grad, hess = logistic_subproblem(theta=1.0, h=1.0, v=0.4)
-    problem = SolveProblem(gradient=grad, hessian=hess, mu=2.0, lipschitz=10.0,
-                           x0=np.zeros(1), tol=1e-10)
+    problem = SolveProblem(gradient=grad, hessian=hess, x0=np.zeros(1), tol=1e-10)
     result = newton_solve(problem)
     root = bisect_root(lambda x: grad(np.array([x]))[0], -10.0, 10.0, tol=1e-12)
     assert result.converged
@@ -72,9 +70,8 @@ def test_newton_matches_bisection_oracle():
 def test_gradient_descent_one_step_isotropic():
     problem = SolveProblem(gradient=lambda x: 3.0 * (x - 2.0),
                            hessian=lambda x: np.array([[3.0]]),
-                           mu=3.0, lipschitz=3.0,
                            x0=np.array([10.0]), tol=1e-12)
-    result = gradient_descent_solve(problem)
+    result = gradient_descent_solve(problem, 3.0, 3.0)
     assert result.converged
     assert result.iterations == 1
     assert result.x[0] == pytest.approx(2.0, abs=1e-12)
@@ -82,23 +79,22 @@ def test_gradient_descent_one_step_isotropic():
 
 def test_solvers_agree_within_strong_convexity_ball():
     tol = 1e-8
-    problem, _ = quadratic_problem(tol=tol)
+    problem, _, (mu, lipschitz) = quadratic_problem(tol=tol)
     newton = newton_solve(problem)
-    descent = gradient_descent_solve(problem)
+    descent = gradient_descent_solve(problem, mu, lipschitz)
     assert newton.converged and descent.converged
-    assert np.linalg.norm(newton.x - descent.x) <= 2.0 * tol / problem.mu
+    assert np.linalg.norm(newton.x - descent.x) <= 2.0 * tol / mu
 
 
 def test_gradient_norm_contract_audited():
-    problem, _ = quadratic_problem(dim=10, tol=1e-6, seed=4)
-    for solver in (newton_solve, gradient_descent_solve):
-        result = solver(problem)
+    problem, _, bounds = quadratic_problem(dim=10, tol=1e-6, seed=4)
+    for result in (newton_solve(problem), gradient_descent_solve(problem, *bounds)):
         assert result.converged
         assert np.linalg.norm(problem.gradient(result.x)) <= 1e-6
 
 
 def test_iteration_cap_reports_nonconvergence():
-    problem, _ = quadratic_problem(dim=8, tol=1e-14, seed=2, max_iter=0)
+    problem, _, _ = quadratic_problem(dim=8, tol=1e-14, seed=2, max_iter=0)
     result = newton_solve(problem)
     assert not result.converged
     assert result.iterations == 0
@@ -106,9 +102,9 @@ def test_iteration_cap_reports_nonconvergence():
 
 def test_gradient_descent_cap():
     grad, hess = logistic_subproblem()
-    problem = SolveProblem(gradient=grad, hessian=hess, mu=2.0, lipschitz=10.0,
+    problem = SolveProblem(gradient=grad, hessian=hess,
                            x0=np.array([50.0]), tol=1e-14, max_iter=2)
-    result = gradient_descent_solve(problem)
+    result = gradient_descent_solve(problem, 2.0, 10.0)
     assert not result.converged
 
 
@@ -116,7 +112,7 @@ def test_newton_gradient_norm_monotone_along_accepted_steps():
     grad, hess = logistic_subproblem(theta=1.0, h=5.0, v=3.0)
     norms = []
     for cap in range(6):
-        problem = SolveProblem(gradient=grad, hessian=hess, mu=0.4, lipschitz=12.0,
+        problem = SolveProblem(gradient=grad, hessian=hess,
                                x0=np.array([-8.0]), tol=1e-13, max_iter=cap)
         norms.append(newton_solve(problem).grad_norm)
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
@@ -125,7 +121,4 @@ def test_newton_gradient_norm_monotone_along_accepted_steps():
 def test_problem_validation():
     with pytest.raises(ValueError):
         SolveProblem(gradient=lambda x: x, hessian=lambda x: np.eye(1),
-                     mu=2.0, lipschitz=1.0, x0=np.zeros(1), tol=1e-8)
-    with pytest.raises(ValueError):
-        SolveProblem(gradient=lambda x: x, hessian=lambda x: np.eye(1),
-                     mu=1.0, lipschitz=2.0, x0=np.zeros(1), tol=0.0)
+                     x0=np.zeros(1), tol=0.0)

@@ -330,15 +330,23 @@ def test_run_chain_ula_transient_beyond_stability():
     assert np.all(np.isfinite(traj.samples[:-1]))
 
 
-def test_run_chain_theta_zero_matches_manual_explicit_loop():
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_run_chain_matches_manual_step_loop(theta):
     target = make_logistic(n_obs=25, dim=3, seed=13)
-    config = SamplerConfig(theta=0.0, h=0.02, n_steps=50, seed=33)
+    config = SamplerConfig(theta=theta, h=0.02, n_steps=50, seed=33)
     traj = run_chain(target, np.zeros(3), config)
     stream = NoiseStream(33, 3)
     x = np.zeros(3)
+    iterations, grad_norms = np.zeros(50, dtype=int), np.zeros(50)
     for k in range(50):
-        x = ula_step(target, x, stream.vector(k), 0.02)
+        if theta == 0.0:
+            x = ula_step(target, x, stream.vector(k), 0.02)
+        else:
+            x, stats = iila_step(target, x, stream.vector(k), config)
+            iterations[k], grad_norms[k] = stats.iterations, stats.grad_norm
         np.testing.assert_array_equal(traj.samples[k + 1], x)
+    np.testing.assert_array_equal(traj.solver_iterations, iterations)
+    np.testing.assert_array_equal(traj.grad_norms, grad_norms)
 
 
 def test_run_chain_common_noise_across_grid():
@@ -354,6 +362,13 @@ def test_run_chain_common_noise_across_grid():
         for k in range(5):
             z = (samples[k + 1] - a * samples[k]) / b
             np.testing.assert_allclose(z, stream.vector(k), rtol=0, atol=1e-12)
+
+
+def test_run_chain_rejects_noise_of_other_dimension():
+    target = make_logistic(n_obs=10, dim=2, seed=15)
+    config = SamplerConfig(theta=0.0, h=0.1, n_steps=3, seed=4)
+    with pytest.raises(ValueError, match=r"noise dimension 1 != target dimension 2"):
+        run_chain(target, np.zeros(2), config, noise=NoiseStream(4, 1))
 
 
 def test_run_chain_rejects_exact_solve_request_off_gaussian():
@@ -427,6 +442,29 @@ def test_config_validation():
         SamplerConfig(theta=0.5, h=1.0, eps=-1.0)
     with pytest.raises(ValueError):
         SamplerConfig(theta=0.5, h=1.0, n_steps=-1)
+
+
+@pytest.mark.parametrize("theta, h, message", [
+    (2.0, 1.0, r"theta must lie in \[0, 1\], got 2\.0"),
+    (-0.5, 1.0, r"theta must lie in \[0, 1\], got -0\.5"),
+    (0.5, -1.0, r"step size must be positive, got -1\.0"),
+    (0.5, 0.0, r"step size must be positive, got 0\.0"),
+], ids=["theta-above-one", "theta-below-zero", "h-negative", "h-zero"])
+def test_step_functions_reject_theta_and_h_like_config(theta, h, message):
+    target = gaussian_1d()
+    x, z = np.array([0.3]), np.array([-0.2])
+    calls = [
+        lambda: SamplerConfig(theta=theta, h=h),
+        lambda: ila_step_gaussian(target, x, z, theta, h),
+        lambda: explicit_predictor(target, x, z, theta, h),
+        lambda: subproblem_gradient(target, x, z, theta, h),
+        lambda: transition_log_density(target, x, z, theta, h),
+    ]
+    if theta == 0.5:
+        calls.append(lambda: ula_step(target, x, z, h))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_stability_warning_only_in_unstable_regime():

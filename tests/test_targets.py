@@ -112,6 +112,28 @@ def test_logistic_weights_in_unit_quarter_interval():
         assert np.all(weights <= 0.25)
 
 
+def test_targets_copy_caller_arrays():
+    base = np.diag([2.0, 3.0, 4.0])
+    mean = np.zeros(2)
+    gaussian = GaussianTarget(mean, base[:2, :2])
+    base[0, 0] = 50.0
+    mean[1] = 7.0
+    assert gaussian.precision[0, 0] == 2.0
+    np.testing.assert_array_equal(gaussian.gradient(np.array([1.0, 0.0])), [2.0, 0.0])
+    np.testing.assert_allclose(gaussian.convexity_bounds(), (2.0, 3.0), rtol=1e-12)
+    assert mean.flags.writeable and base.flags.writeable
+
+    design, labels = np.array([[1.0, 0.5], [-1.0, 2.0]]), np.array([1.0, 0.0])
+    logistic = LogisticRegressionTarget(design, labels, 1.0)
+    before = logistic.gradient(np.ones(2))
+    design[0, 0] = 100.0
+    labels[0] = 0.0
+    np.testing.assert_array_equal(logistic.gradient(np.ones(2)), before)
+    assert design.flags.writeable and labels.flags.writeable
+    for arr in (gaussian.mean, gaussian.precision, logistic.design, logistic.labels):
+        assert not arr.flags.writeable
+
+
 def test_gaussian_bounds_identity():
     target = GaussianTarget(np.zeros(4), np.eye(4))
     assert target.convexity_bounds() == (1.0, 1.0)
