@@ -17,9 +17,6 @@ from scipy.special import expit
 from .errors import NumericalError
 from .optim import SolveProblem, newton_solve
 
-_POWER_ITER_CAP = 10_000
-_POWER_ITER_RTOL = 1e-6
-
 MODE_GRAD_TOL = 1e-10
 
 
@@ -132,7 +129,7 @@ class LogisticRegressionTarget(TargetDensity):
     f(x) = sum_i [log(1 + exp(a_i'x)) - b_i a_i'x] + (prior_precision/2)||x||^2
     for design rows a_i and binary labels b_i. The curvature bounds follow the
     spectral sandwich m = prior_precision, M = ||A||^2/4 + prior_precision,
-    with ||A|| estimated by power iteration.
+    with the exact spectral norm ||A|| (largest singular value).
     """
 
     def __init__(self, design, labels, prior_precision: float = 1.0):
@@ -153,7 +150,7 @@ class LogisticRegressionTarget(TargetDensity):
         self.design = design
         self.labels = labels
         self.prior_precision = float(prior_precision)
-        norm = spectral_norm(design)
+        norm = float(np.linalg.norm(design, 2))
         self._bounds = (self.prior_precision, norm**2 / 4.0 + self.prior_precision)
         for arr in (self.design, self.labels):
             arr.flags.writeable = False
@@ -179,39 +176,6 @@ class LogisticRegressionTarget(TargetDensity):
 
     def convexity_bounds(self) -> tuple[float, float]:
         return self._bounds
-
-
-def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value, by power iteration on the Gram matrix.
-
-    Converges to relative tolerance 1e-6 on the norm estimate; raises
-    NumericalError if the cap is reached first.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0 or not np.any(matrix):
-        return 0.0
-    # Iterate on the smaller Gram matrix.
-    gram_on_cols = matrix.shape[1] <= matrix.shape[0]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(matrix.shape[1] if gram_on_cols else matrix.shape[0])
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(_POWER_ITER_CAP):
-        if gram_on_cols:
-            w = matrix.T @ (matrix @ v)
-        else:
-            w = matrix @ (matrix.T @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        new_estimate = float(np.sqrt(norm_w))  # sqrt of Rayleigh-quotient limit
-        v = w / norm_w
-        if abs(new_estimate - estimate) <= _POWER_ITER_RTOL * new_estimate:
-            return new_estimate
-        estimate = new_estimate
-    raise NumericalError(
-        f"power iteration did not converge within {_POWER_ITER_CAP} iterations"
-    )
 
 
 def standardize_design(features: np.ndarray, add_intercept: bool = True) -> np.ndarray:

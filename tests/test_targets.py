@@ -10,7 +10,6 @@ from thetalangevin import (
     mode,
     standardize_design,
 )
-from thetalangevin.targets import spectral_norm
 
 from oracles import fd_gradient, fd_jacobian
 
@@ -151,10 +150,20 @@ def test_logistic_bounds_single_row():
     assert big_m == pytest.approx(2.0, rel=1e-5)
 
 
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((40, 7))
-    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-5)
+def test_logistic_upper_bound_covers_hessian_on_standardized_design():
+    # Criterion 9's design: standardized features plus an intercept column.
+    # H(0) = A'A/4 + lambda I attains the bound M = ||A||^2/4 + lambda, so M
+    # must be the exact norm, not an estimate from below.
+    rng = np.random.default_rng(0)
+    features = rng.standard_normal((200, 9)) * rng.uniform(0.5, 3.0, size=9) + 1.0
+    design = standardize_design(features)
+    truth = rng.standard_normal(10)
+    labels = (rng.random(200) < 1.0 / (1.0 + np.exp(-design @ truth))).astype(float)
+    target = LogisticRegressionTarget(design, labels, prior_precision=1.0)
+    ceiling = target.convexity_bounds()[1] * (1.0 + 1e-12)
+    points = [np.zeros(10)] + [rng.standard_normal(10) for _ in range(20)]
+    for x in points:
+        assert np.linalg.eigvalsh(target.hessian(x))[-1] <= ceiling
 
 
 def test_gaussian_exact_sample_moments():
