@@ -19,7 +19,6 @@ from .samplers import (
     SamplerConfig,
     StabilityWarning,
     Trajectory,
-    dump_trajectory,
     iila_step,
     ila_step_gaussian,
     run_chain,
@@ -44,7 +43,6 @@ from .theory import (
     h_star,
     heuristic_objective,
     step_size_heuristic,
-    step_size_heuristic_model,
     theta_map,
     w2_bound,
 )

@@ -72,8 +72,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.h_values is not None:
             hs = tuple(float(h) for h in self.h_values)
-            if any(h <= 0 for h in hs):
-                raise ValueError("h grid values must be strictly positive")
+            if not all(0 < h < math.inf for h in hs):
+                raise ValueError(f"h grid values must be positive and finite, got {hs}")
             self.h_values = tuple(sorted(hs))
         self.thetas = tuple(float(t) for t in self.thetas)
         if any(not 0.0 <= t <= 1.0 for t in self.thetas):
@@ -110,6 +110,9 @@ def resolve_h_grid(config: ExperimentConfig, big_m: float, h_half: float) -> tup
     """Explicit h list if given, else log-spaced [4/(100 M), 100 h_half]."""
     if config.h_values is not None:
         return config.h_values
+    for flag, value in (("--h-min", config.h_min), ("--h-max", config.h_max)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     lo = config.h_min if config.h_min is not None else 4.0 / (100.0 * big_m)
     hi = config.h_max if config.h_max is not None else 100.0 * h_half
     if not 0 < lo < hi:
@@ -172,7 +175,7 @@ def _gaussian_sweep_setup(config: ExperimentConfig):
     """Correlation-matrix Gaussian of condition number kappa; the reference set
     is drawn exactly, which is strictly better than any chain."""
     target = build_gaussian_target(config.dim, config.kappa, config.seed)
-    h_half = theory.step_size_heuristic(1.0 / np.linalg.eigvalsh(target.covariance), 0.5)
+    h_half = theory.step_size_heuristic(target.eigenvalues, 0.5)
 
     def build_reference():
         ref_rng = np.random.default_rng((config.seed, _STREAM_EXACT_REFERENCE))
@@ -184,9 +187,8 @@ def _logistic_sweep_setup(config: ExperimentConfig):
     """Logistic-regression posterior; the reference set is a long theta = 1/2
     chain at step ref_h (default h_half/10), thinned by ref_thin."""
     target = build_logistic_target(config)
-    m, big_m = target.convexity_bounds()
-    h_half = theory.step_size_heuristic_model(
-        matrixgen.SpectralModel(d=target.dim, m=m, M=big_m), 0.5)
+    model = matrixgen.SpectralModel(target.dim, *target.convexity_bounds())
+    h_half = theory.step_size_heuristic(matrixgen.exp_decay_spectrum(model), 0.5)
 
     def build_reference():
         ref_h = config.ref_h if config.ref_h is not None else h_half / 10.0
@@ -225,26 +227,13 @@ def run_sweep(config: ExperimentConfig, compute_mmtv: bool = True) -> list[GridR
     return rows
 
 
-def run_heuristic(config: ExperimentConfig, eigenvalues=None,
-                  m: float | None = None, big_m: float | None = None) -> list[tuple]:
-    """Step-size recommendation per theta, from an explicit spectrum or an
-    exponential-decay model (dim, m, M). Returns (theta, h_hat, objective)."""
+def run_heuristic(config: ExperimentConfig, eigenvalues) -> list[tuple]:
+    """(theta, h_hat, objective) per theta for one curvature spectrum."""
+    lam = np.asarray(eigenvalues, dtype=float)
     results = []
     for theta in config.thetas:
-        if theta == 0.0:
-            raise ValueError("step-size heuristic is undefined for theta = 0 "
-                             "(the explicit method has no implicit damping)")
-        if eigenvalues is not None:
-            lam = np.asarray(eigenvalues, dtype=float)
-            h_hat = theory.step_size_heuristic(lam, theta)
-        else:
-            if m is None or big_m is None:
-                raise ValueError("need either an explicit spectrum or (dim, m, M)")
-            model = matrixgen.SpectralModel(d=config.dim, m=m, M=big_m)
-            lam = matrixgen.exp_decay_spectrum(model)
-            h_hat = theory.step_size_heuristic_model(model, theta)
-        objective = theory.heuristic_objective(h_hat, lam, theta)
-        results.append((theta, h_hat, objective))
+        h_hat = theory.step_size_heuristic(lam, theta)
+        results.append((theta, h_hat, theory.heuristic_objective(h_hat, lam, theta)))
     return results
 
 
@@ -446,17 +435,18 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "heuristic":
-            eigenvalues = None
-            m = big_m = None
             if args.spectrum:
                 eigenvalues = np.loadtxt(args.spectrum, ndmin=1)
-            elif args.kappa is not None:
-                m, big_m = 1.0, float(args.kappa)
-            elif args.m is not None and args.big_m is not None:
-                m, big_m = float(args.m), float(args.big_m)
             else:
-                raise ValueError("heuristic needs --spectrum, --kappa, or --m/--M")
-            results = run_heuristic(config, eigenvalues=eigenvalues, m=m, big_m=big_m)
+                if args.kappa is not None:
+                    m, big_m = 1.0, float(args.kappa)
+                elif args.m is not None and args.big_m is not None:
+                    m, big_m = float(args.m), float(args.big_m)
+                else:
+                    raise ValueError("heuristic needs --spectrum, --kappa, or --m/--M")
+                eigenvalues = matrixgen.exp_decay_spectrum(
+                    matrixgen.SpectralModel(d=config.dim, m=m, M=big_m))
+            results = run_heuristic(config, eigenvalues)
             csv_rows = [[_fmt(t), _fmt(h), _fmt(obj)] for t, h, obj in results]
             write_rows(config.out, ["theta", "h_hat", "objective"],
                        csv_rows, config.overwrite)

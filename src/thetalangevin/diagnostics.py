@@ -60,13 +60,12 @@ class SampleSet:
         return self.points.shape[1]
 
 
-def median_bandwidth(q: SampleSet, seed: int = 0, squared: bool = False) -> float:
+def median_bandwidth(q: SampleSet, seed: int = 0) -> float:
     """Kernel bandwidth sigma with 2 sigma^2 the median pairwise distance of q.
 
     The median is exact over all N(N-1)/2 distinct pairs; sets larger than the
     subsample cap are first thinned to the cap uniformly at random (seeded,
-    so the value is reproducible). With squared=True the median of squared
-    distances is used instead of the literal distances.
+    so the value is reproducible).
     """
     points = q.points
     if points.shape[0] > MEDIAN_SUBSAMPLE_CAP:
@@ -77,7 +76,7 @@ def median_bandwidth(q: SampleSet, seed: int = 0, squared: bool = False) -> floa
     sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (points @ points.T)
     np.maximum(sq, 0.0, out=sq)
     pair_sq = sq[np.triu_indices_from(sq, k=1)]
-    med = float(np.median(pair_sq if squared else np.sqrt(pair_sq)))
+    med = float(np.median(np.sqrt(pair_sq)))
     if med <= 0.0:
         raise DegenerateBandwidthError("median pairwise distance is zero")
     return math.sqrt(med / 2.0)

@@ -36,13 +36,15 @@ def _check_theta_h(theta: float, h: float) -> None:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
+    if not np.isfinite(h):
+        raise ValueError(f"step size must be finite, got {h}")
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     """Chain parameters: blend theta, step size h, subproblem tolerance, length.
 
-    theta in [0, 1]; h > 0 in diffusion time units; eps >= 0 is the
+    theta in [0, 1]; finite h > 0 in diffusion time units; eps >= 0 is the
     gradient-norm tolerance of the implicit subproblem; n_steps >= 0; the seed
     makes the noise sequence (and hence the chain) fully deterministic.
     """
@@ -121,7 +123,7 @@ def _gaussian_kernel(target_ref: weakref.ref, theta: float, h: float):
     nor writes to them.
     """
     target = target_ref()
-    lam, vecs, mean = target._eigvals, target._eigvecs, target.mean
+    lam, vecs, mean = target.eigenvalues, target.eigenvectors, target.mean
     denom = 1.0 + 0.5 * h * theta * lam
     a = (1.0 - 0.5 * h * (1.0 - theta) * lam) / denom
     step_x, step_z = (vecs * a) @ vecs.T, (vecs * (np.sqrt(h) / denom)) @ vecs.T
@@ -222,11 +224,6 @@ def transition_log_density(target: TargetDensity, y, x, theta: float, h: float) 
     residual = y + 0.5 * h * theta * target.gradient(y) - mean
     log_gauss = -0.5 * d * (LOG_2PI + np.log(h)) - float(residual @ residual) / (2.0 * h)
     return log_det + log_gauss
-
-
-def dump_trajectory(trajectory: Trajectory, path, delimiter: str = ",") -> None:
-    """Write chain samples as delimited text, one sample per row."""
-    np.savetxt(path, trajectory.samples, delimiter=delimiter, fmt="%.17g")
 
 
 def stability_bound(theta: float, m: float, big_m: float) -> float:

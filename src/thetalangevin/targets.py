@@ -56,9 +56,10 @@ class TargetDensity:
 class GaussianTarget(TargetDensity):
     """Quadratic target 0.5 (x - mean)' Q (x - mean) with precision Q.
 
-    The spectral factorization of Q is cached at construction; it provides the
-    exact curvature bounds, the covariance, the symmetric square root of the
-    covariance used for exact sampling, and the closed-form step operators.
+    The eigenpairs of Q are computed once, at construction, and are the one
+    source of its spectral facts: the read-only `eigenvalues` (ascending) and
+    `eigenvectors` give the exact curvature bounds, the covariance, exact
+    draws and the closed-form step operators.
     """
 
     def __init__(self, mean, precision):
@@ -78,14 +79,11 @@ class GaussianTarget(TargetDensity):
         # Q = L L' = V S^2 V' with S, V from the SVD of L'. At the low end of the
         # spectrum this is about sqrt(cond Q) times more accurate than eigh(Q).
         _, sv, vt = np.linalg.svd(chol.T)
-        eigvals, eigvecs = sv[::-1] ** 2, vt[::-1].T
         self.dim = d
         self.mean = mean
         self.precision = precision
-        self._eigvals = eigvals  # ascending
-        self._eigvecs = eigvecs
-        self._cov_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-        for arr in (self.mean, self.precision, eigvals, eigvecs, self._cov_sqrt):
+        self.eigenvalues, self.eigenvectors = sv[::-1] ** 2, vt[::-1].T
+        for arr in (self.mean, self.precision, self.eigenvalues, self.eigenvectors):
             arr.flags.writeable = False
 
     @classmethod
@@ -99,7 +97,7 @@ class GaussianTarget(TargetDensity):
 
     @property
     def covariance(self) -> np.ndarray:
-        return (self._eigvecs / self._eigvals) @ self._eigvecs.T
+        return (self.eigenvectors / self.eigenvalues) @ self.eigenvectors.T
 
     def value(self, x) -> float:
         x = _check_point(x, self.dim)
@@ -115,12 +113,14 @@ class GaussianTarget(TargetDensity):
         return self.precision
 
     def convexity_bounds(self) -> tuple[float, float]:
-        return float(self._eigvals[0]), float(self._eigvals[-1])
+        return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
 
     def exact_sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n independent exact draws via the cached covariance square root."""
+        """n independent exact draws mean + z S, with S = V diag(lam^-1/2) V'
+        the symmetric square root of the covariance, applied in the eigenbasis."""
         z = rng.standard_normal((n, self.dim))
-        return self.mean + z @ self._cov_sqrt
+        vecs = self.eigenvectors
+        return self.mean + ((z @ vecs) / np.sqrt(self.eigenvalues)) @ vecs.T
 
 
 class LogisticRegressionTarget(TargetDensity):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, OutOfRegimeError
-from .matrixgen import SpectralModel, exp_decay_spectrum
 from .optim import SolveProblem, newton_solve
 from .samplers import _check_theta_h
 from .targets import TargetDensity, mode
@@ -226,7 +225,8 @@ def step_size_heuristic(eigenvalues, theta: float) -> float:
     if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues must be finite and strictly positive")
     if not theta > 0:
-        raise ValueError(f"heuristic requires theta > 0, got {theta}")
+        raise ValueError("step-size heuristic requires theta > 0 (the explicit method "
+                         f"has no implicit damping), got {theta}")
 
     def in_log(t):
         return heuristic_objective(10.0**t, lam, theta)
@@ -246,8 +246,3 @@ def step_size_heuristic(eigenvalues, theta: float) -> float:
         "step-size search failed: minimizer stayed on the bracket endpoint "
         "after five doublings"
     )
-
-
-def step_size_heuristic_model(model: SpectralModel, theta: float) -> float:
-    """Heuristic step size for the log-linear decay spectrum of the model."""
-    return step_size_heuristic(exp_decay_spectrum(model), theta)

@@ -396,13 +396,12 @@ def test_seed_env_var_sets_default(tmp_path, monkeypatch):
 
 
 def test_trajectory_and_matrix_dumps(tmp_path):
-    from thetalangevin import dump_trajectory
     from thetalangevin.matrixgen import dump_matrix
 
     target = build_gaussian_target(3, 5.0, seed=1)
     trajectory = run_chain(target, np.zeros(3), SamplerConfig(theta=0.5, h=1.0, n_steps=20))
     chain_path = tmp_path / "chain.csv"
-    dump_trajectory(trajectory, chain_path)
+    dump_matrix(trajectory.samples, chain_path)
     loaded = np.loadtxt(chain_path, delimiter=",")
     np.testing.assert_allclose(loaded, trajectory.samples, rtol=1e-15)
 
@@ -490,6 +489,30 @@ def test_cli_rejects_fewer_than_two_samples(tmp_path, capsys, monkeypatch, kind)
     extra = ["--dataset", str(dataset)] if kind == "logistic" else ["--dim", "4"]
     assert main([kind, "--theta", "0.5", "--h", "0.5", "--samples", "1"] + extra) == 1
     assert "error: n_samples must be >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "logistic"])
+def test_cli_rejects_non_finite_h_values(tmp_path, capsys, monkeypatch, kind):
+    dataset = tmp_path / "synthetic.csv"
+    write_synthetic_dataset(dataset, n_obs=20, dim=2, seed=1)
+    _forbid_chains(monkeypatch)
+    extra = ["--dataset", str(dataset)] if kind == "logistic" else ["--dim", "4"]
+    for bad in ("inf", "nan"):
+        assert main([kind, "--theta", "0.5", "--h", "0.5", "--h", bad,
+                     "--samples", "50"] + extra) == 1
+        assert "h grid values must be positive and finite" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="positive and finite"):
+        ExperimentConfig(h_values=(math.inf,))
+
+
+@pytest.mark.parametrize("flag, value", [("--h-max", "inf"), ("--h-min", "inf"),
+                                         ("--h-min", "nan")])
+def test_cli_rejects_non_finite_h_range(capsys, flag, value):
+    assert main(["gaussian", "--dim", "4", "--kappa", "10", "--theta", "0.5",
+                 "--samples", "50", "--seed", "1", "--h-count", "3", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} must be finite, got {value}" in captured.err
 
 
 def test_import_cli_leaves_scipy_stats_unloaded():

@@ -48,12 +48,6 @@ def test_median_bandwidth_deterministic_with_subsampling():
     assert median_bandwidth(q, seed=5) == median_bandwidth(q, seed=5)
 
 
-def test_median_bandwidth_squared_variant():
-    q = as_set([[0.0], [2.0]])
-    # Median squared distance 4 gives sigma = sqrt(2).
-    assert median_bandwidth(q, squared=True) == pytest.approx(math.sqrt(2.0))
-
-
 def test_median_bandwidth_degenerate():
     with pytest.raises(DegenerateBandwidthError):
         median_bandwidth(as_set([[1.0, 1.0], [1.0, 1.0]]))

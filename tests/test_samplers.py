@@ -449,7 +449,8 @@ def test_config_validation():
     (-0.5, 1.0, r"theta must lie in \[0, 1\], got -0\.5"),
     (0.5, -1.0, r"step size must be positive, got -1\.0"),
     (0.5, 0.0, r"step size must be positive, got 0\.0"),
-], ids=["theta-above-one", "theta-below-zero", "h-negative", "h-zero"])
+    (0.5, math.inf, r"step size must be finite, got inf"),
+], ids=["theta-above-one", "theta-below-zero", "h-negative", "h-zero", "h-infinite"])
 def test_step_functions_reject_theta_and_h_like_config(theta, h, message):
     target = gaussian_1d()
     x, z = np.array([0.3]), np.array([-0.2])

@@ -175,6 +175,32 @@ def test_gaussian_exact_sample_moments():
     np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.03)
 
 
+def test_gaussian_exact_sample_is_symmetric_square_root_map():
+    # Draws must be mean + z S with S the symmetric square root of the
+    # covariance: another square root gives other draws from the same z.
+    rng = np.random.default_rng(12)
+    basis = rng.standard_normal((5, 5))
+    cov = basis @ basis.T + 0.5 * np.eye(5)
+    mean = rng.standard_normal(5)
+    target = GaussianTarget.from_covariance(mean, cov)
+    lam, vecs = np.linalg.eigh(target.covariance)
+    sqrt_cov = (vecs * np.sqrt(lam)) @ vecs.T
+    draws = target.exact_sample(50, np.random.default_rng(4))
+    expected = mean + np.random.default_rng(4).standard_normal((50, 5)) @ sqrt_cov
+    assert np.linalg.norm(draws - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_gaussian_eigenpairs_public_and_read_only():
+    target = GaussianTarget(np.zeros(3), np.diag([4.0, 0.5, 2.0]))
+    np.testing.assert_allclose(target.eigenvalues, [0.5, 2.0, 4.0], rtol=1e-14)
+    vecs = target.eigenvectors
+    np.testing.assert_allclose((vecs * target.eigenvalues) @ vecs.T, target.precision,
+                               atol=1e-14)
+    assert target.convexity_bounds() == (target.eigenvalues[0], target.eigenvalues[-1])
+    for arr in (target.eigenvalues, target.eigenvectors):
+        assert not arr.flags.writeable
+
+
 def test_nonfinite_input_rejected():
     target = GaussianTarget(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):

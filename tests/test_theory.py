@@ -15,7 +15,6 @@ from thetalangevin import (
     h_star,
     heuristic_objective,
     step_size_heuristic,
-    step_size_heuristic_model,
     theta_map,
     w2_bound,
 )
@@ -301,21 +300,15 @@ def test_heuristic_local_minimum_certificate():
         assert at <= heuristic_objective(1.01 * h_hat, lam, theta) + 1e-12
 
 
-def test_heuristic_model_composition():
-    model = SpectralModel(d=30, m=2.0, M=600.0)
-    direct = step_size_heuristic(exp_decay_spectrum(model), 0.75)
-    assert step_size_heuristic_model(model, 0.75) == direct
-
-
 def test_heuristic_model_flat():
-    assert step_size_heuristic_model(SpectralModel(d=4, m=3.0, M=3.0), 0.5) == \
-        pytest.approx(4.0 / 3.0, rel=1e-7)
+    spectrum = exp_decay_spectrum(SpectralModel(d=4, m=3.0, M=3.0))
+    assert step_size_heuristic(spectrum, 0.5) == pytest.approx(4.0 / 3.0, rel=1e-7)
 
 
 def test_heuristic_extreme_model_finite_and_deterministic():
     model = SpectralModel(d=1000, m=1.0, M=1e8)
-    first = step_size_heuristic_model(model, 0.5)
-    second = step_size_heuristic_model(model, 0.5)
+    first = step_size_heuristic(exp_decay_spectrum(model), 0.5)
+    second = step_size_heuristic(exp_decay_spectrum(model), 0.5)
     assert np.isfinite(first) and first > 0
     assert first == second
 
