@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericalError
 
@@ -65,15 +65,13 @@ def newton_solve(problem: SolveProblem) -> SolveResult:
     sq = float(g @ g)
     iterations = 0
     while sq > problem.tol**2 and iterations < cap:
-        hess = problem.hessian(x)
-        try:
-            factor = cho_factor(hess, lower=True)
-        except LinAlgError as exc:
-            raise NumericalError(
-                f"Cholesky factorization failed at iteration {iterations}; "
-                "Hessian is not positive definite"
-            ) from exc
-        step = cho_solve(factor, -g)
+        factor, info = dpotrf(problem.hessian(x), lower=1, clean=0)
+        if info != 0:
+            raise NumericalError(f"Cholesky factorization failed at iteration {iterations}; "
+                                 "Hessian is not positive definite")
+        step, info = dpotrs(factor, -g, lower=1)  # LAPACK factors NaN without complaint
+        if info != 0 or not np.isfinite(step).all():
+            raise NumericalError(f"Newton step is not finite at iteration {iterations}")
         t = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):

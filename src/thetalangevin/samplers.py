@@ -111,7 +111,7 @@ def _check_step(target: TargetDensity, x, z, theta: float, h: float):
 def _explicit_kernel(target: TargetDensity, theta: float, h: float):
     """x, z -> x - (h(1-theta)/2) grad f(x) + sqrt(h) z."""
     drift, sqrt_h = 0.5 * h * (1.0 - theta), np.sqrt(h)
-    return lambda x, z: (x - drift * target.gradient(x) + sqrt_h * z, None)
+    return lambda x, z: (x - drift * target._gradient(x) + sqrt_h * z, None)
 
 
 @functools.lru_cache(maxsize=8)
@@ -130,27 +130,37 @@ def _gaussian_kernel(target_ref: weakref.ref, theta: float, h: float):
     return lambda x, z: (step_x @ (x - mean) + step_z @ z + mean, None)
 
 
-def _subproblem_gradient(target: TargetDensity, u, v, theta: float, scale: float):
-    return theta * target.gradient(u) + scale * (u - v)
+def _subproblem_gradient(target: TargetDensity, u, v, theta: float, scale: float, shared=None):
+    return theta * target._gradient(u, shared) + scale * (u - v)
 
 
 def _newton_kernel(target: TargetDensity, theta: float, h: float, eps: float):
     """Inexact implicit step: Newton on the subproblem, warm started at the
-    explicit predictor v, to gradient norm <= eps."""
+    explicit predictor v, to gradient norm <= eps.
+
+    The gradient and Hessian at one point share the target's work through a
+    one-entry memo keyed by identity; newton_solve never edits a point in place.
+    """
     if eps <= 0.0:
         raise ValueError(f"inexact implicit step requires eps > 0, got {eps}")
     predict = _explicit_kernel(target, theta, h)
-    scale = 2.0 / h
-    scaled_eye = scale * np.eye(target.dim)
+    scale, d = 2.0 / h, target.dim
+    v = point = shared = None
+
+    def gradient(u):
+        nonlocal point, shared
+        point, shared = u, target._shared(u)
+        return _subproblem_gradient(target, u, v, theta, scale, shared)
 
     def hessian(u):
-        return theta * target.hessian(u) + scaled_eye
+        hess = theta * target._hessian(u, shared if u is point else None)
+        hess.flat[:: d + 1] += scale
+        return hess
 
     def step(x, z):
+        nonlocal v
         v = predict(x, z)[0]
-        problem = SolveProblem(gradient=lambda u: _subproblem_gradient(target, u, v, theta, scale),
-                               hessian=hessian, x0=v, tol=eps)
-        result = newton_solve(problem)
+        result = newton_solve(SolveProblem(gradient=gradient, hessian=hessian, x0=v, tol=eps))
         return result.x, result
 
     return step
@@ -277,7 +287,6 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
     grad_norms = np.zeros(n)
     diverged = False
     x = x0
-    k = 0
     for k in range(n):
         x, stats = step(x, noise.vector(k))
         if stats is not None:
@@ -290,13 +299,12 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
             iterations[k] = stats.iterations
             grad_norms[k] = stats.grad_norm
         samples[k + 1] = x
-        if not np.isfinite(x).all() or np.linalg.norm(x) > DIVERGENCE_THRESHOLD:
+        # One dot product: false for NaN and inf as well as for large norms.
+        if not x @ x <= DIVERGENCE_THRESHOLD**2:
             diverged = True
             break
-    completed = k + 1 if n > 0 else 0
-    if diverged or completed < n:
-        samples = samples[: completed + 1]
-        iterations = iterations[:completed]
-        grad_norms = grad_norms[:completed]
+    if diverged:
+        kept = k + 1
+        samples, iterations, grad_norms = samples[: kept + 1], iterations[:kept], grad_norms[:kept]
     return Trajectory(samples=samples, solver_iterations=iterations,
                       grad_norms=grad_norms, diverged=diverged)

@@ -32,9 +32,9 @@ def _check_point(x, dim: int) -> np.ndarray:
 class TargetDensity:
     """Contract for an evaluable log-concave target.
 
-    Subclasses provide value/gradient/hessian (value only up to an additive
-    constant, which sampling never needs) and curvature bounds via
-    convexity_bounds().
+    Subclasses provide value (up to an additive constant, which sampling never
+    needs), the unchecked _gradient/_hessian behind the public gradient/hessian,
+    and convexity_bounds(). Both may be passed _shared(x), their common work.
     """
 
     dim: int
@@ -43,9 +43,18 @@ class TargetDensity:
         raise NotImplementedError
 
     def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self._gradient(_check_point(x, self.dim))
 
     def hessian(self, x) -> np.ndarray:
+        return self._hessian(_check_point(x, self.dim))
+
+    def _shared(self, x):
+        return None
+
+    def _gradient(self, x: np.ndarray, shared=None) -> np.ndarray:
+        raise NotImplementedError
+
+    def _hessian(self, x: np.ndarray, shared=None) -> np.ndarray:
         raise NotImplementedError
 
     def convexity_bounds(self) -> tuple[float, float]:
@@ -104,12 +113,10 @@ class GaussianTarget(TargetDensity):
         r = x - self.mean
         return 0.5 * float(r @ (self.precision @ r))
 
-    def gradient(self, x) -> np.ndarray:
-        x = _check_point(x, self.dim)
+    def _gradient(self, x, shared=None) -> np.ndarray:
         return self.precision @ (x - self.mean)
 
-    def hessian(self, x) -> np.ndarray:
-        _check_point(x, self.dim)
+    def _hessian(self, x, shared=None) -> np.ndarray:
         return self.precision
 
     def convexity_bounds(self) -> tuple[float, float]:
@@ -161,17 +168,18 @@ class LogisticRegressionTarget(TargetDensity):
         return float(np.logaddexp(0.0, t).sum() - self.labels @ t
                      + 0.5 * self.prior_precision * (x @ x))
 
-    def gradient(self, x) -> np.ndarray:
-        x = _check_point(x, self.dim)
-        t = self.design @ x
-        return self.design.T @ (expit(t) - self.labels) + self.prior_precision * x
+    def _shared(self, x) -> np.ndarray:
+        return expit(self.design @ x)
 
-    def hessian(self, x) -> np.ndarray:
-        x = _check_point(x, self.dim)
-        p = expit(self.design @ x)
+    def _gradient(self, x, shared=None) -> np.ndarray:
+        p = self._shared(x) if shared is None else shared
+        return self.design.T @ (p - self.labels) + self.prior_precision * x
+
+    def _hessian(self, x, shared=None) -> np.ndarray:
+        p = self._shared(x) if shared is None else shared
         weights = p * (1.0 - p)  # in (0, 1/4]
         hess = self.design.T @ (self.design * weights[:, None])
-        hess[np.diag_indices_from(hess)] += self.prior_precision
+        hess.flat[:: self.dim + 1] += self.prior_precision
         return (hess + hess.T) / 2.0
 
     def convexity_bounds(self) -> tuple[float, float]:

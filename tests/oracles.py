@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own code paths: finite differences for
 derivative checks, bisection for scalar root finds, fixed-step gradient descent
-as a cross-check for the Newton solver, plain dense algebra for spectra, a
+as a cross-check for the Newton solver, the same Newton iteration through
+scipy's checked Cholesky wrappers, plain dense algebra for spectra, a
 Cholesky solve for the closed-form Gaussian step, and adaptive 7/15
 Gauss-Kronrod quadrature of pointwise kernel density estimates for the
 marginal total variation.
@@ -16,6 +17,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from thetalangevin import NumericalError, SolveProblem, SolveResult
 from thetalangevin.diagnostics import silverman_bandwidth
+from thetalangevin.optim import (NEWTON_ITER_CAP, _ARMIJO_FACTOR, _BACKTRACK_RATIO,
+                                 _MAX_BACKTRACKS)
 
 GRADIENT_DESCENT_ITER_CAP = 10_000
 MAX_QUADRATURE_INTERVALS = 1 << 15
@@ -81,6 +84,35 @@ def gradient_descent_solve(problem: SolveProblem, mu: float, lipschitz: float) -
         iterations += 1
     return SolveResult(x=x, grad_norm=norm, iterations=iterations,
                        converged=norm <= problem.tol)
+
+
+def cho_newton_solve(problem: SolveProblem) -> SolveResult:
+    """newton_solve through scipy's cho_factor/cho_solve, with their shape and
+    finite checks; the same LAPACK calls, so the same bits on valid input."""
+    cap = NEWTON_ITER_CAP if problem.max_iter is None else problem.max_iter
+    x = np.array(problem.x0, dtype=float)
+    g = problem.gradient(x)
+    sq = float(g @ g)
+    iterations = 0
+    while sq > problem.tol**2 and iterations < cap:
+        step = cho_solve(cho_factor(problem.hessian(x), lower=True), -g)
+        t = 1.0
+        accepted = False
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = x + t * step
+            g_new = problem.gradient(x_new)
+            sq_new = float(g_new @ g_new)
+            if sq_new <= sq * (1.0 - 2.0 * _ARMIJO_FACTOR * t):
+                accepted = True
+                break
+            t *= _BACKTRACK_RATIO
+        if not accepted:
+            break
+        x, g, sq = x_new, g_new, sq_new
+        iterations += 1
+    grad_norm = float(np.sqrt(sq))
+    return SolveResult(x=x, grad_norm=grad_norm, iterations=iterations,
+                       converged=grad_norm <= problem.tol)
 
 
 def cholesky_gaussian_step(target, theta, h):

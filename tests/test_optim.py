@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from thetalangevin import SolveProblem, newton_solve
+from thetalangevin import (NumericalError, SamplerConfig, SolveProblem, iila_step,
+                           newton_solve, subproblem_gradient)
+from thetalangevin.samplers import explicit_predictor
 
-from oracles import bisect_root, gradient_descent_solve
+from oracles import bisect_root, cho_newton_solve, gradient_descent_solve
+from test_targets import make_logistic
 
 
 def quadratic_problem(dim=6, tol=1e-12, seed=0, **kwargs):
@@ -122,3 +125,45 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         SolveProblem(gradient=lambda x: x, hessian=lambda x: np.eye(1),
                      x0=np.zeros(1), tol=0.0)
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
+def test_newton_matches_cho_oracle_bit_for_bit_on_logistic_subproblems(theta):
+    # The oracle solves the subproblem built from the public, checked target
+    # methods with a dense scaled identity; newton_solve and the sampler's
+    # Newton kernel must reproduce it bit for bit.
+    target = make_logistic(n_obs=200, dim=6, seed=21)
+    rng = np.random.default_rng(22)
+    for h in (0.01, 0.3, 5.0):
+        config = SamplerConfig(theta=theta, h=h, eps=1e-10)
+        for _ in range(4):
+            x, z = 2.0 * rng.standard_normal(6), rng.standard_normal(6)
+            v = explicit_predictor(target, x, z, theta, h)
+            problem = SolveProblem(
+                gradient=lambda u: subproblem_gradient(target, u, v, theta, h),
+                hessian=lambda u: theta * target.hessian(u) + (2.0 / h) * np.eye(6),
+                x0=v, tol=1e-10)
+            oracle = cho_newton_solve(problem)
+            assert oracle.converged and oracle.iterations > 0
+            for result in (newton_solve(problem), iila_step(target, x, z, config)[1]):
+                np.testing.assert_array_equal(result.x, oracle.x)
+                assert result.grad_norm == oracle.grad_norm
+                assert result.iterations == oracle.iterations
+
+
+def test_newton_rejects_indefinite_hessian():
+    problem = SolveProblem(gradient=lambda x: x - 1.0, hessian=lambda x: -np.eye(2),
+                           x0=np.zeros(2), tol=1e-10)
+    with pytest.raises(NumericalError, match=r"Cholesky factorization failed at iteration 0"):
+        newton_solve(problem)
+
+
+def test_newton_rejects_non_finite_hessian_naming_iteration():
+    # A NaN Hessian factors without complaint in LAPACK; the step must not be
+    # taken. The first iteration halves the distance, the second sees NaN.
+    problem = SolveProblem(
+        gradient=lambda x: x - 1.0,
+        hessian=lambda x: 2.0 * np.eye(2) if x[0] == 0.0 else np.full((2, 2), np.nan),
+        x0=np.zeros(2), tol=1e-10)
+    with pytest.raises(NumericalError, match=r"Newton step is not finite at iteration 1"):
+        newton_solve(problem)

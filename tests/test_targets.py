@@ -209,6 +209,36 @@ def test_nonfinite_input_rejected():
         target.gradient(np.array([np.inf, 0.0]))
 
 
+CHECKED_TARGETS = [
+    GaussianTarget(np.array([0.5, -1.0, 2.0]),
+                   np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 4.0]])),
+    make_logistic(n_obs=40, dim=3, lam=0.5, seed=12),
+]
+
+
+@pytest.mark.parametrize("target", CHECKED_TARGETS, ids=["gaussian", "logistic"])
+def test_unchecked_derivatives_equal_public_methods(target):
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        x = 3.0 * rng.standard_normal(3)
+        shared = target._shared(x)
+        for public, unchecked in ((target.gradient, target._gradient),
+                                  (target.hessian, target._hessian)):
+            expected = public(x)
+            np.testing.assert_array_equal(unchecked(x), expected)
+            np.testing.assert_array_equal(unchecked(x, shared), expected)
+
+
+@pytest.mark.parametrize("target", CHECKED_TARGETS, ids=["gaussian", "logistic"])
+def test_public_derivatives_reject_bad_points(target):
+    bad = [np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.array([0.0, np.nan, 0.0]),
+           np.array([np.inf, 0.0, 0.0])]
+    for method in (target.gradient, target.hessian):
+        for x in bad:
+            with pytest.raises(ValueError):
+                method(x)
+
+
 def test_standardize_design():
     rng = np.random.default_rng(1)
     features = rng.standard_normal((50, 3)) * np.array([5.0, 0.1, 2.0]) + 7.0
