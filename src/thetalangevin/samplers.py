@@ -24,6 +24,10 @@ from .targets import GaussianTarget, TargetDensity, _check_point
 
 DIVERGENCE_THRESHOLD = 1e12
 
+# Rows per noise block. Part of the noise contract: changing it changes every
+# draw, since the normal sampler consumes a variable number of words per draw.
+NOISE_BLOCK = 256
+
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -69,17 +73,33 @@ class NoiseStream:
     Every chain of one experiment that shares a seed consumes identical noise
     at identical step indices (common random numbers), regardless of the
     (theta, h) point it runs at. The optional stream id separates independent
-    uses (e.g. a reference chain) under the same seed.
+    uses (e.g. a reference chain) under the same seed. Step k is row
+    k % NOISE_BLOCK of Philox block k // NOISE_BLOCK, keyed by (seed, stream).
     """
 
     def __init__(self, seed: int, dim: int, stream: int = 0):
         self.seed = int(seed) % (1 << 64)
         self.dim = int(dim)
         self.stream = int(stream)
+        self._memo = (None, None)
+
+    def block(self, b: int) -> np.ndarray:
+        """Read-only (NOISE_BLOCK, dim) noise of steps b*NOISE_BLOCK onward."""
+        # Philox at counter c + 1 is its stream at c shifted by four draws, so
+        # blocks start 2^128 apart, beyond any block's own advance.
+        bitgen = np.random.Philox(key=[self.seed, self.stream], counter=int(b) << 128)
+        draws = np.random.Generator(bitgen).standard_normal((NOISE_BLOCK, self.dim))
+        draws.flags.writeable = False
+        return draws
 
     def vector(self, k: int) -> np.ndarray:
-        rng = np.random.default_rng((self.seed, self.stream, int(k)))
-        return rng.standard_normal(self.dim)
+        """Read-only noise of step k, through a one-block memo."""
+        b, row = divmod(int(k), NOISE_BLOCK)
+        index, draws = self._memo
+        if index != b:
+            draws = self.block(b)
+            self._memo = (b, draws)
+        return draws[row]
 
 
 @dataclass
@@ -288,7 +308,9 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
     diverged = False
     x = x0
     for k in range(n):
-        x, stats = step(x, noise.vector(k))
+        if k % NOISE_BLOCK == 0:
+            draws = noise.block(k // NOISE_BLOCK)
+        x, stats = step(x, draws[k % NOISE_BLOCK])
         if stats is not None:
             if not stats.converged:
                 raise NumericalError(

@@ -19,7 +19,8 @@ from thetalangevin import (
     ula_step,
 )
 from thetalangevin.cli import build_gaussian_target
-from thetalangevin.samplers import DIVERGENCE_THRESHOLD, _gaussian_kernel, explicit_predictor
+from thetalangevin.samplers import (DIVERGENCE_THRESHOLD, NOISE_BLOCK, _gaussian_kernel,
+                                    explicit_predictor)
 from thetalangevin.theory import gaussian_stationary_covariance
 
 from oracles import bisect_root, cholesky_gaussian_step, fd_gradient, gauss_kronrod
@@ -38,6 +39,41 @@ def test_noise_stream_deterministic_and_order_free():
     np.testing.assert_array_equal(stream.vector(7), again.vector(7))
     np.testing.assert_array_equal(stream.vector(0), again.vector(0))
     assert not np.array_equal(stream.vector(0), stream.vector(1))
+
+
+def test_noise_blocks_share_no_draws():
+    # Philox at counter c + 1 repeats the stream at c shifted by four draws;
+    # blocks must not start at adjacent counters.
+    stream = NoiseStream(9, 4, stream=2)
+    for b in (0, 1, 7):
+        first, second = stream.block(b), stream.block(b + 1)
+        assert first.shape == (NOISE_BLOCK, 4)
+        assert not np.isin(second, first).any()
+
+
+def test_noise_vector_is_block_row_across_boundaries():
+    stream = NoiseStream(21, 3)
+    blocks = {b: stream.block(b) for b in (0, 1, 2)}
+    # Out of order, so the one-block memo is replaced and revisited.
+    for k in (NOISE_BLOCK - 1, NOISE_BLOCK, 5, 2 * NOISE_BLOCK, 2 * NOISE_BLOCK - 1, 0):
+        np.testing.assert_array_equal(stream.vector(k), blocks[k // NOISE_BLOCK][k % NOISE_BLOCK])
+
+
+def test_noise_blocks_read_only():
+    stream = NoiseStream(3, 2)
+    for draws in (stream.block(0), stream.vector(4)):
+        assert not draws.flags.writeable
+        with pytest.raises(ValueError):
+            draws[0] = 1.0
+
+
+def test_noise_golden_values():
+    # Pins NOISE_BLOCK, the Philox key (seed, stream) and the counter layout.
+    stream = NoiseStream(1, 3)
+    np.testing.assert_array_equal(stream.block(0)[0],
+                                  [1.02028797736073, 0.7597131895605167, -0.24583790273512823])
+    np.testing.assert_array_equal(stream.block(1)[0],
+                                  [0.3958225380089213, -0.05076228753447183, 0.2652247621415212])
 
 
 def test_noise_stream_moments():
@@ -332,13 +368,14 @@ def test_run_chain_ula_transient_beyond_stability():
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
 def test_run_chain_matches_manual_step_loop(theta):
+    n = NOISE_BLOCK + 50  # crosses a noise block boundary
     target = make_logistic(n_obs=25, dim=3, seed=13)
-    config = SamplerConfig(theta=theta, h=0.02, n_steps=50, seed=33)
+    config = SamplerConfig(theta=theta, h=0.02, n_steps=n, seed=33)
     traj = run_chain(target, np.zeros(3), config)
     stream = NoiseStream(33, 3)
     x = np.zeros(3)
-    iterations, grad_norms = np.zeros(50, dtype=int), np.zeros(50)
-    for k in range(50):
+    iterations, grad_norms = np.zeros(n, dtype=int), np.zeros(n)
+    for k in range(n):
         if theta == 0.0:
             x = ula_step(target, x, stream.vector(k), 0.02)
         else:
@@ -354,12 +391,13 @@ def test_run_chain_common_noise_across_grid():
     # noise can be recovered and checked against the shared stream.
     target = GaussianTarget(np.zeros(2), np.eye(2))
     stream = NoiseStream(77, 2)
+    n = NOISE_BLOCK + 5  # crosses a noise block boundary
     for theta, h in [(0.0, 0.5), (0.5, 2.0), (1.0, 10.0)]:
-        config = SamplerConfig(theta=theta, h=h, n_steps=5, seed=77)
+        config = SamplerConfig(theta=theta, h=h, n_steps=n, seed=77)
         samples = run_chain(target, np.ones(2), config).samples
         a = (1.0 - 0.5 * h * (1.0 - theta)) / (1.0 + 0.5 * h * theta)
         b = np.sqrt(h) / (1.0 + 0.5 * h * theta)
-        for k in range(5):
+        for k in range(n):
             z = (samples[k + 1] - a * samples[k]) / b
             np.testing.assert_allclose(z, stream.vector(k), rtol=0, atol=1e-12)
 
