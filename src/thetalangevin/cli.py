@@ -251,6 +251,8 @@ def run_kernel_contour(config: ExperimentConfig, target=None) -> list[tuple]:
     column plus intercept); it is built from config unless given. Returns rows
     (theta, x, y, log_density).
     """
+    if config.h_values is not None and len(config.h_values) > 1:
+        raise ValueError(f"contour draws one step size; give one --h, got {config.h_values}")
     if target is None:
         target = build_contour_target(config)
     if target.dim != 2:

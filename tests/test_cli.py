@@ -313,6 +313,15 @@ def test_cli_contour_writes_grid(tmp_path):
     assert len(lines) == 1 + 8 * 8
 
 
+def test_cli_contour_rejects_more_than_one_h(tmp_path, capsys):
+    # Only one step size is drawn; a second --h was silently dropped before.
+    out = tmp_path / "contour.csv"
+    assert main(["contour", "--kappa", "4", "--theta", "0.5", "--h", "10", "--h", "1",
+                 "--grid-count", "4", "--out", str(out)]) == 1
+    assert "--h" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- config files
 
 def test_config_file_roundtrip(tmp_path):
