@@ -80,6 +80,10 @@ class ExperimentConfig:
             raise ValueError("theta values must lie in [0, 1]")
         if self.burn_in < 0:
             raise ValueError("burn-in must be >= 0")
+        if self.h_count < 0:
+            raise ValueError(f"h_count must be >= 0, got {self.h_count}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         for name in ("thin", "ref_thin"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -274,16 +278,37 @@ def run_kernel_contour(config: ExperimentConfig, target=None) -> list[tuple]:
     return rows
 
 
-def write_rows(path: str, header: list[str], rows, overwrite: bool) -> None:
-    """Write CSV with a header; refuse to clobber without the overwrite flag."""
-    if path is None:
-        return
+def check_out_path(path: str, overwrite: bool) -> None:
+    """Refuse an output path that could not be written once the work is done:
+    one that exists (unless overwrite), is a directory, or lies in a missing
+    directory."""
+    if os.path.isdir(path):
+        raise FileExistsError(f"{path} is a directory")
     if os.path.exists(path) and not overwrite:
         raise FileExistsError(f"{path} exists; pass --overwrite to replace it")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"{path}: directory {directory} does not exist")
+
+
+def write_rows(path: str, header: list[str], rows, overwrite: bool) -> None:
+    """Write CSV with a header; refuse to clobber without the overwrite flag.
+    The rows go to a temporary file in the same directory, which is moved into
+    place only once complete, so an interrupted write leaves no partial CSV."""
+    if path is None:
+        return
+    check_out_path(path, overwrite)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    handle = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.write(",".join(header) + "\n")
+            for row in rows:
+                handle.write(",".join(row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def grid_rows_to_csv(rows: list[GridRow]) -> list[list[str]]:
@@ -431,6 +456,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args, args.command)
+        if config.out is not None:
+            check_out_path(config.out, config.overwrite)
         if args.command in _SWEEP_SETUPS:
             _emit(config, ["theta", "h", "mmtv", "mmd2", "diverged"],
                   grid_rows_to_csv(run_sweep(config)))

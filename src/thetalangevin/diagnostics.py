@@ -82,20 +82,25 @@ def median_bandwidth(q: SampleSet, seed: int = 0) -> float:
     return math.sqrt(med / 2.0)
 
 
+def _kernel_block(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray,
+                  scale: float) -> float:
+    """Sum of exp(scale ||a_i - b_j||^2) over all pairs; a_sq, b_sq are the
+    squared row norms."""
+    d2 = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= scale
+    np.exp(d2, out=d2)
+    return float(d2.sum())
+
+
 def _kernel_sum(a: np.ndarray, b: np.ndarray, sigma: float) -> float:
     """Sum of exp(-||a_i - b_j||^2 / (2 sigma^2)) over all pairs, blockwise."""
     scale = -1.0 / (2.0 * sigma**2)
     b_sq = np.einsum("ij,ij->i", b, b)
     a_sq = np.einsum("ij,ij->i", a, a)
-    block_totals = []
-    for start in range(0, a.shape[0], _KERNEL_BLOCK):
-        rows = a[start:start + _KERNEL_BLOCK]
-        d2 = a_sq[start:start + _KERNEL_BLOCK, None] + b_sq[None, :] - 2.0 * (rows @ b.T)
-        np.maximum(d2, 0.0, out=d2)
-        d2 *= scale
-        np.exp(d2, out=d2)
-        block_totals.append(float(d2.sum()))
-    return math.fsum(block_totals)
+    return math.fsum(_kernel_block(a[start:start + _KERNEL_BLOCK],
+                                   a_sq[start:start + _KERNEL_BLOCK], b, b_sq, scale)
+                     for start in range(0, a.shape[0], _KERNEL_BLOCK))
 
 
 def mmd2(p: SampleSet, q, sigma: float | None = None) -> float:
@@ -122,7 +127,20 @@ def mmd2(p: SampleSet, q, sigma: float | None = None) -> float:
 
 
 def _mean_self_kernel(q: SampleSet, sigma: float) -> float:
-    return _kernel_sum(q.points, q.points, sigma) / (q.n * q.n)
+    """Mean kernel over all N^2 ordered pairs of q. The kernel matrix is
+    symmetric, so only its blocks on and above the diagonal are summed, each
+    off-diagonal one twice. Up to N = _KERNEL_BLOCK this is one block, the
+    same operations as _kernel_sum(q, q)."""
+    points, block = q.points, _KERNEL_BLOCK
+    scale = -1.0 / (2.0 * sigma**2)
+    sq = np.einsum("ij,ij->i", points, points)
+    totals = []
+    for i in range(0, q.n, block):
+        rows, rows_sq = points[i:i + block], sq[i:i + block]
+        for j in range(i, q.n, block):
+            total = _kernel_block(rows, rows_sq, points[j:j + block], sq[j:j + block], scale)
+            totals.append(total if j == i else 2.0 * total)
+    return math.fsum(totals) / (q.n * q.n)
 
 
 def silverman_bandwidth(samples: np.ndarray):

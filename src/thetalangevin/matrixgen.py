@@ -3,15 +3,24 @@
 Used to build ill-conditioned Gaussian targets: the eigenvalues interpolate
 log-linearly between a largest value M and a smallest value m, and a random
 correlation matrix carrying exactly that spectrum (after rescaling to trace d)
-is produced by conjugating with a random orthogonal matrix and driving the
-diagonal to one with Givens rotations.
+is produced by conjugating diag(eigenvalues) with a Haar-distributed orthogonal
+matrix (QR of a Gaussian matrix with the signs of R's diagonal moved into Q;
+Mezzadri 2007) and driving the diagonal to one with Givens rotations (Davies
+and Higham 2000). The draws and the floating-point operations are those of
+scipy's `random_correlation.rvs`, so for one seed the matrices agree bit for
+bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import drot
 
 from .errors import NumericalError
+
+# Largest |diagonal - 1| accepted after the Givens sweep.
+_DIAGONAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,7 @@ def random_correlation(eigenvalues, seed: int) -> np.ndarray:
 
     The input eigenvalues are rescaled to sum to d (a correlation matrix has
     trace d); the rescaling preserves the condition number. Construction:
-    conjugate diag(eigenvalues) by a random orthogonal matrix, then apply
+    conjugate diag(eigenvalues) by a Haar orthogonal matrix, then apply
     Givens rotations until every diagonal entry is one. Deterministic given
     the seed.
     """
@@ -69,17 +78,42 @@ def random_correlation(eigenvalues, seed: int) -> np.ndarray:
     if np.ptp(lam) < 1e-14:
         # Flat unit spectrum: the identity is the only correlation matrix.
         return np.eye(d)
-    # scipy.stats is imported here, not at module top: it costs about 0.5 s
-    # per process, and only this function needs it.
-    from scipy.stats import random_correlation as scipy_random_correlation
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
+    q *= np.sign(np.diagonal(r))
+    corr = _givens_to_unit_diagonal((q * lam) @ q.T)
+    if np.abs(np.diagonal(corr) - 1.0).max() > _DIAGONAL_TOL:
+        raise NumericalError("correlation matrix construction failed: "
+                             "Givens rotations left a diagonal entry off one")
+    return (corr + corr.T) / 2.0
 
-    rng = np.random.default_rng(seed)
-    try:
-        corr = scipy_random_correlation.rvs(lam, random_state=rng)
-    except Exception as exc:  # scipy signals rotation failure via raise
-        raise NumericalError(f"correlation matrix construction failed: {exc}") from exc
-    corr = (corr + corr.T) / 2.0
-    return corr
+
+def _givens_to_unit_diagonal(m: np.ndarray) -> np.ndarray:
+    """Rotate the C-contiguous symmetric m of trace d, in place, to unit
+    diagonal (Davies and Higham 2000)."""
+    d = m.shape[0]
+    flat, diag = m.ravel(), np.diagonal(m)  # views, so drot rotates m itself
+    for i in range(d - 1):
+        if diag[i] == 1.0:
+            continue
+        # Partner: the first later diagonal entry strictly on the other side
+        # of one, else the last.
+        j = i + 1
+        while j < d - 1 and (diag[j] - 1.0) * (diag[i] - 1.0) >= 0.0:
+            j += 1
+        # Rotation [c s; -s c] of rows and columns i, j setting m[i, i] to
+        # one, with t chosen to avoid cancellation.
+        aij, ajjd = m[i, j], diag[j] - 1.0
+        if ajjd == 0.0:
+            c, s = 0.0, 1.0
+        else:
+            dd = math.sqrt(max(aij**2 - (diag[i] - 1.0) * ajjd, 0.0))
+            t = (aij + math.copysign(dd, aij)) / ajjd
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = 1.0 if c == 0.0 else c * t
+        for stride, step in ((d, 1), (1, d)):
+            drot(flat, flat, c, -s, n=d, offx=i * stride, incx=step, offy=j * stride,
+                 incy=step, overwrite_x=True, overwrite_y=True)
+    return m
 
 
 def dump_matrix(matrix: np.ndarray, path, delimiter: str = ",") -> None:

@@ -6,7 +6,7 @@ as a cross-check for the Newton solver, the same Newton iteration through
 scipy's checked Cholesky wrappers, plain dense algebra for spectra, a
 Cholesky solve for the closed-form Gaussian step, and adaptive 7/15
 Gauss-Kronrod quadrature of pointwise kernel density estimates for the
-marginal total variation.
+marginal total variation, and scipy's own random correlation matrices.
 """
 
 import heapq
@@ -14,9 +14,11 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.stats import random_correlation
 
 from thetalangevin import NumericalError, SolveProblem, SolveResult
 from thetalangevin.diagnostics import silverman_bandwidth
+from thetalangevin.matrixgen import rescale_to_trace
 from thetalangevin.optim import (NEWTON_ITER_CAP, _ARMIJO_FACTOR, _BACKTRACK_RATIO,
                                  _MAX_BACKTRACKS)
 
@@ -131,6 +133,14 @@ def cholesky_gaussian_step(target, theta, h):
         return cho_solve(factor, explicit @ (x - mean) + np.sqrt(h) * z) + mean
 
     return step
+
+
+def scipy_random_correlation(eigenvalues, seed: int) -> np.ndarray:
+    """scipy.stats.random_correlation on the trace-d rescaled eigenvalues,
+    symmetrized, from np.random.default_rng(seed)."""
+    lam = rescale_to_trace(eigenvalues, float(len(eigenvalues)))
+    corr = random_correlation.rvs(lam, random_state=np.random.default_rng(seed))
+    return (corr + corr.T) / 2.0
 
 
 class QuadratureAccuracyError(NumericalError):

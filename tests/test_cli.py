@@ -153,6 +153,22 @@ def test_write_rows_refuses_overwrite(tmp_path):
     write_rows(str(out), ["theta", "h", "mmtv", "mmd2", "diverged"], rows, overwrite=True)
 
 
+def test_write_rows_replaces_atomically(tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text("old\n")
+
+    def failing_rows():
+        yield ["1", "2"]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        write_rows(str(out), ["a", "b"], failing_rows(), overwrite=True)
+    assert out.read_text() == "old\n"
+    write_rows(str(out), ["a", "b"], [["1", "2"]], overwrite=True)
+    assert out.read_text() == "a,b\n1,2\n"
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
 def test_cli_gaussian_csv_bytes_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -173,6 +189,54 @@ def test_cli_refuses_clobber(tmp_path, capsys):
     assert main(argv) == 1
     assert "overwrite" in capsys.readouterr().err
     assert main(argv + ["--overwrite"]) == 0
+
+
+def _forbid_work(monkeypatch):
+    """Make building any target, running any chain or computing a heuristic fail."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the --out check")
+
+    for name in ("build_gaussian_target", "build_logistic_target", "run_chain",
+                 "run_heuristic"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
+_WRITING_ARGV = {
+    "gaussian": ["gaussian", "--dim", "4", "--theta", "0.5", "--h", "1.0", "--samples", "60"],
+    "logistic": ["logistic", "--dataset", "unread.csv", "--theta", "0.5", "--h", "1.0"],
+    "heuristic": ["heuristic", "--kappa", "10", "--dim", "4"],
+    "contour": ["contour", "--kappa", "4", "--theta", "0.5", "--h", "1.0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITING_ARGV))
+def test_cli_refuses_existing_out_before_any_work(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "rows.csv"
+    out.write_text("keep\n")
+    _forbid_work(monkeypatch)
+    assert main(_WRITING_ARGV[command] + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {out} exists; pass --overwrite to replace it" in captured.err
+    assert out.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", sorted(_WRITING_ARGV))
+def test_cli_refuses_out_in_missing_directory_before_any_work(tmp_path, capsys,
+                                                              monkeypatch, command):
+    out = tmp_path / "missing" / "rows.csv"
+    _forbid_work(monkeypatch)
+    assert main(_WRITING_ARGV[command] + ["--out", str(out), "--overwrite"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"directory {tmp_path / 'missing'} does not exist" in captured.err
+    assert not out.parent.exists()
+
+
+def test_cli_refuses_directory_as_out(tmp_path, capsys, monkeypatch):
+    _forbid_work(monkeypatch)
+    assert main(_WRITING_ARGV["gaussian"] + ["--out", str(tmp_path), "--overwrite"]) == 1
+    assert f"error: {tmp_path} is a directory" in capsys.readouterr().err
 
 
 def test_cli_h_range_grid(tmp_path):
@@ -514,6 +578,20 @@ def test_cli_rejects_non_finite_h_values(tmp_path, capsys, monkeypatch, kind):
         ExperimentConfig(h_values=(math.inf,))
 
 
+@pytest.mark.parametrize("flag, field, value, bound", [
+    ("--h-count", "h_count", "-1", ">= 0"),
+    ("--workers", "workers", "0", ">= 1"),
+    ("--workers", "workers", "-3", ">= 1"),
+])
+def test_cli_rejects_bad_h_count_and_workers(capsys, monkeypatch, flag, field, value, bound):
+    _forbid_work(monkeypatch)
+    assert main(["gaussian", "--dim", "4", "--theta", "0.5", "--samples", "50",
+                 flag, value]) == 1
+    assert f"error: {field} must be {bound}, got {value}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"{field} must be {bound}"):
+        ExperimentConfig(**{field: int(value)})
+
+
 @pytest.mark.parametrize("flag, value", [("--h-max", "inf"), ("--h-min", "inf"),
                                          ("--h-min", "nan")])
 def test_cli_rejects_non_finite_h_range(capsys, flag, value):
@@ -532,3 +610,20 @@ def test_import_cli_leaves_scipy_stats_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_gaussian_sweep_leaves_scipy_stats_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = tmp_path / "rows.csv"
+    code = ("import sys\n"
+            "from thetalangevin.cli import main\n"
+            "code = main(['gaussian', '--dim', '6', '--kappa', '100', '--theta', '0.5',\n"
+            "             '--h-count', '2', '--samples', '50', '--seed', '1',\n"
+            f"             '--out', {str(out)!r}])\n"
+            "print(code, 'scipy.stats' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "0 False"
+    assert len(out.read_text().splitlines()) == 3

@@ -89,6 +89,15 @@ def test_mmd_symmetry_and_nonnegativity():
         assert forward >= -1e-12
 
 
+@pytest.mark.parametrize("n", [100, 1024, 1025, 3000, 5000])
+def test_mean_self_kernel_matches_full_kernel_sum(n):
+    # The upper-triangle block sum against the full N x N sum.
+    q = as_set(np.random.default_rng(n).standard_normal((n, 5)))
+    sigma = median_bandwidth(q)
+    full = diagnostics._kernel_sum(q.points, q.points, sigma) / (n * n)
+    assert diagnostics._mean_self_kernel(q, sigma) == pytest.approx(full, rel=1e-12, abs=0)
+
+
 def test_mmd_rejects_dimension_mismatch():
     p = as_set(np.zeros((3, 2)) + np.arange(3)[:, None])
     q = as_set(np.arange(4.0)[:, None])

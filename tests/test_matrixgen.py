@@ -3,6 +3,8 @@ import pytest
 
 from thetalangevin import SpectralModel, exp_decay_spectrum, random_correlation
 
+from oracles import scipy_random_correlation
+
 
 def test_spectrum_endpoints_d2():
     lam = exp_decay_spectrum(SpectralModel(d=2, m=1.0, M=100.0))
@@ -74,3 +76,12 @@ def test_invalid_eigenvalues_rejected():
         random_correlation(np.array([1.0, -0.5]), seed=0)
     with pytest.raises(ValueError):
         random_correlation(np.array([1.0, np.nan]), seed=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 20, 50, 100, 200])
+def test_random_correlation_matches_scipy_bit_for_bit(d):
+    for kappa in (1.0001, 1.5, 10.0, 100.0, 1e4, 1e8):
+        lam = exp_decay_spectrum(SpectralModel(d=d, m=1.0, M=kappa))
+        for seed in range(5):
+            assert np.array_equal(random_correlation(lam, seed=seed),
+                                  scipy_random_correlation(lam, seed)), (d, kappa, seed)
