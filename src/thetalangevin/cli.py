@@ -9,6 +9,7 @@ across the grid. Config files are parsed by the `ExperimentConfig` annotations.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -291,24 +292,31 @@ def check_out_path(path: str, overwrite: bool) -> None:
         raise FileNotFoundError(f"{path}: directory {directory} does not exist")
 
 
-def write_rows(path: str, header: list[str], rows, overwrite: bool) -> None:
-    """Write CSV with a header; refuse to clobber without the overwrite flag.
-    The rows go to a temporary file in the same directory, which is moved into
-    place only once complete, so an interrupted write leaves no partial CSV."""
-    if path is None:
-        return
+@contextlib.contextmanager
+def _replacing(path: str, overwrite: bool):
+    """Text handle for writing path, after check_out_path. It writes a
+    temporary file in the same directory, which is moved into place only once
+    the block completes, so an interrupted write leaves no partial file."""
     check_out_path(path, overwrite)
     tmp = f"{path}.{os.getpid()}.tmp"
     handle = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with handle:
-            handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(row) + "\n")
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def write_rows(path: str, header: list[str], rows, overwrite: bool) -> None:
+    """Write CSV with a header; refuse to clobber without the overwrite flag."""
+    if path is None:
+        return
+    with _replacing(path, overwrite) as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(row) + "\n")
 
 
 def grid_rows_to_csv(rows: list[GridRow]) -> list[list[str]]:
@@ -456,8 +464,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args, args.command)
-        if config.out is not None:
-            check_out_path(config.out, config.overwrite)
+        for path in (config.out, getattr(args, "dump_matrix", None)):
+            if path is not None:
+                check_out_path(path, config.overwrite)
         if args.command in _SWEEP_SETUPS:
             _emit(config, ["theta", "h", "mmtv", "mmd2", "diverged"],
                   grid_rows_to_csv(run_sweep(config)))
@@ -490,7 +499,8 @@ def main(argv=None) -> int:
             target = build_contour_target(config)
             rows = run_kernel_contour(config, target)
             if args.dump_matrix:
-                matrixgen.dump_matrix(target.covariance, args.dump_matrix)
+                with _replacing(args.dump_matrix, config.overwrite) as handle:
+                    matrixgen.dump_matrix(target.covariance, handle)
             csv_rows = [[_fmt(t), _fmt(x), _fmt(y), _fmt(lp)] for t, x, y, lp in rows]
             write_rows(config.out, ["theta", "x", "y", "log_density"],
                        csv_rows, config.overwrite)

@@ -117,5 +117,5 @@ def _givens_to_unit_diagonal(m: np.ndarray) -> np.ndarray:
 
 
 def dump_matrix(matrix: np.ndarray, path, delimiter: str = ",") -> None:
-    """Write a matrix as delimited text, one row per line."""
+    """Write a matrix as delimited text, one row per line, to a path or text handle."""
     np.savetxt(path, matrix, delimiter=delimiter, fmt="%.17g")

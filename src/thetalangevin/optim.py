@@ -57,10 +57,12 @@ def newton_solve(problem: SolveProblem) -> SolveResult:
 
     The Newton direction p solves H p = -g via Cholesky; since the termination
     criterion is ||g|| <= tol, descent is enforced on ||g||^2 itself, for which
-    the Newton direction gives directional derivative -2||g||^2.
+    the Newton direction gives directional derivative -2||g||^2. Iterates are
+    never edited in place, so x0 is not copied: the first gradient call gets
+    x0 itself, and so does the result when no iteration runs.
     """
     cap = NEWTON_ITER_CAP if problem.max_iter is None else problem.max_iter
-    x = np.array(problem.x0, dtype=float)
+    x = np.asarray(problem.x0, dtype=float)
     g = problem.gradient(x)
     sq = float(g @ g)
     iterations = 0

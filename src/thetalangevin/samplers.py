@@ -134,6 +134,14 @@ def _explicit_kernel(target: TargetDensity, theta: float, h: float):
     return lambda x, z: (x - drift * target._gradient(x) + sqrt_h * z, None)
 
 
+def _gaussian_coefficients(target: GaussianTarget, theta: float, h: float):
+    """(a, b) of the closed-form theta step in the eigenbasis of Q: each
+    coordinate of y = (x - mean) V advances as y <- a y + b (z V)."""
+    lam = target.eigenvalues
+    denom = 1.0 + 0.5 * h * theta * lam
+    return (1.0 - 0.5 * h * (1.0 - theta) * lam) / denom, np.sqrt(h) / denom
+
+
 @functools.lru_cache(maxsize=8)
 def _gaussian_kernel(target_ref: weakref.ref, theta: float, h: float):
     """Closed-form theta step (x, z) -> step_x (x - mean) + step_z z + mean.
@@ -143,34 +151,36 @@ def _gaussian_kernel(target_ref: weakref.ref, theta: float, h: float):
     nor writes to them.
     """
     target = target_ref()
-    lam, vecs, mean = target.eigenvalues, target.eigenvectors, target.mean
-    denom = 1.0 + 0.5 * h * theta * lam
-    a = (1.0 - 0.5 * h * (1.0 - theta) * lam) / denom
-    step_x, step_z = (vecs * a) @ vecs.T, (vecs * (np.sqrt(h) / denom)) @ vecs.T
+    vecs, mean = target.eigenvectors, target.mean
+    a, b = _gaussian_coefficients(target, theta, h)
+    step_x, step_z = (vecs * a) @ vecs.T, (vecs * b) @ vecs.T
     return lambda x, z: (step_x @ (x - mean) + step_z @ z + mean, None)
 
 
-def _subproblem_gradient(target: TargetDensity, u, v, theta: float, scale: float, shared=None):
-    return theta * target._gradient(u, shared) + scale * (u - v)
-
-
 def _newton_kernel(target: TargetDensity, theta: float, h: float, eps: float):
-    """Inexact implicit step: Newton on the subproblem, warm started at the
-    explicit predictor v, to gradient norm <= eps.
+    """Inexact implicit step: Newton on the subproblem with proximity centre
+    the explicit predictor v, started at the current point x, to gradient
+    norm <= eps.
 
-    The gradient and Hessian at one point share the target's work through a
-    one-entry memo keyed by identity; newton_solve never edits a point in place.
+    At large h the predictor is the unstable explicit step, while x is never
+    far from the subproblem's solution, so x is the better start. The target
+    is evaluated at x once: its shared work and gradient give both v and the
+    first Newton gradient and Hessian. Later points share the target's work
+    between gradient and Hessian through the same one-entry memo, keyed by
+    identity; newton_solve never copies or edits a point.
     """
     if eps <= 0.0:
         raise ValueError(f"inexact implicit step requires eps > 0, got {eps}")
-    predict = _explicit_kernel(target, theta, h)
+    drift, sqrt_h = 0.5 * h * (1.0 - theta), np.sqrt(h)
     scale, d = 2.0 / h, target.dim
-    v = point = shared = None
+    v = point = shared = grad = None
 
     def gradient(u):
-        nonlocal point, shared
-        point, shared = u, target._shared(u)
-        return _subproblem_gradient(target, u, v, theta, scale, shared)
+        nonlocal point, shared, grad
+        if u is not point:
+            point, shared = u, target._shared(u)
+            grad = target._gradient(u, shared)
+        return theta * grad + scale * (u - v)
 
     def hessian(u):
         hess = theta * target._hessian(u, shared if u is point else None)
@@ -178,9 +188,11 @@ def _newton_kernel(target: TargetDensity, theta: float, h: float, eps: float):
         return hess
 
     def step(x, z):
-        nonlocal v
-        v = predict(x, z)[0]
-        result = newton_solve(SolveProblem(gradient=gradient, hessian=hessian, x0=v, tol=eps))
+        nonlocal v, point, shared, grad
+        point, shared = x, target._shared(x)
+        grad = target._gradient(x, shared)
+        v = x - drift * grad + sqrt_h * z
+        result = newton_solve(SolveProblem(gradient=gradient, hessian=hessian, x0=x, tol=eps))
         return result.x, result
 
     return step
@@ -194,14 +206,14 @@ def ula_step(target: TargetDensity, x, z, h: float) -> np.ndarray:
 def subproblem_gradient(target: TargetDensity, u, v, theta: float, h: float) -> np.ndarray:
     """Gradient of the implicit-step objective: theta*grad f(u) + (2/h)(u - v)."""
     u, v = _check_step(target, u, v, theta, h)
-    return _subproblem_gradient(target, u, v, theta, 2.0 / h)
+    return theta * target._gradient(u) + (2.0 / h) * (u - v)
 
 
 def explicit_predictor(target: TargetDensity, x, z, theta: float, h: float) -> np.ndarray:
     """The vector v = x - (h(1-theta)/2) grad f(x) + sqrt(h) z.
 
-    This is the proximity center of the implicit subproblem, the exact update
-    when theta = 0, and the warm start for the inner solver.
+    This is the proximity center of the implicit subproblem and the exact
+    update when theta = 0. The inner solver starts at x, not at v.
     """
     x, z = _check_step(target, x, z, theta, h)
     return _explicit_kernel(target, theta, h)(x, z)[0]
@@ -224,8 +236,8 @@ def iila_step(target: TargetDensity, x, z, config: SamplerConfig) -> tuple[np.nd
     """One inexact implicit step: solve the subproblem to gradient norm <= eps.
 
     Returns the accepted point and the inner-solver statistics. The subproblem
-    has curvature bounds [theta*m + 2/h, theta*M + 2/h], and the solver warm
-    starts at the explicit predictor.
+    has curvature bounds [theta*m + 2/h, theta*M + 2/h] and its proximity
+    centre is the explicit predictor; the solver starts at x.
     """
     if config.theta <= 0.0:
         raise ValueError("inexact implicit step requires theta > 0; use ula_step")
@@ -270,12 +282,13 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
               noise: NoiseStream | None = None) -> Trajectory:
     """Run a chain of config.n_steps transitions from x0.
 
-    Dispatch: closed-form update for Gaussian targets; explicit update when
-    theta = 0; otherwise the inexact implicit step (requires eps > 0).
-    Iterates whose norm exceeds the divergence threshold truncate the chain
-    and set the diverged flag, which is the expected outcome for the explicit
-    method at large step sizes. A capped-out inner solve raises instead of
-    contaminating the trajectory.
+    Dispatch: the closed-form update, run in the eigenbasis of Q, for Gaussian
+    targets; explicit update when theta = 0; otherwise the inexact implicit
+    step (requires eps > 0). Iterates whose norm exceeds the divergence
+    threshold truncate the chain and set the diverged flag, which is the
+    expected outcome for the explicit method at large step sizes. A failed
+    inner solve raises NumericalError naming (theta, h) and the step, instead
+    of contaminating the trajectory.
     """
     x0 = _check_point(x0, target.dim)
     m, big_m = target.convexity_bounds()
@@ -291,42 +304,79 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
     if noise.dim != target.dim:
         raise ValueError(f"noise dimension {noise.dim} != target dimension {target.dim}")
 
-    # The kernels skip per-step input validation: iterates are vetted by the
-    # divergence check below, and the noise stream only emits finite vectors.
-    if isinstance(target, GaussianTarget):
-        step = _gaussian_kernel(weakref.ref(target), float(config.theta), float(config.h))
-    elif config.theta == 0.0:
-        step = _explicit_kernel(target, 0.0, config.h)
-    else:
-        step = _newton_kernel(target, config.theta, config.h, config.eps)
-
     n = config.n_steps
     samples = np.empty((n + 1, target.dim))
     samples[0] = x0
     iterations = np.zeros(n, dtype=int)
     grad_norms = np.zeros(n)
-    diverged = False
-    x = x0
-    for k in range(n):
-        if k % NOISE_BLOCK == 0:
-            draws = noise.block(k // NOISE_BLOCK)
-        x, stats = step(x, draws[k % NOISE_BLOCK])
-        if stats is not None:
-            if not stats.converged:
-                raise NumericalError(
-                    f"inner solver failed at theta={config.theta}, h={config.h}, step {k}: "
-                    f"grad norm {stats.grad_norm:.3e} > eps {config.eps:.3e} "
-                    f"after {stats.iterations} iterations; chain aborted"
-                )
-            iterations[k] = stats.iterations
-            grad_norms[k] = stats.grad_norm
-        samples[k + 1] = x
-        # One dot product: false for NaN and inf as well as for large norms.
-        if not x @ x <= DIVERGENCE_THRESHOLD**2:
-            diverged = True
-            break
-    if diverged:
-        kept = k + 1
-        samples, iterations, grad_norms = samples[: kept + 1], iterations[:kept], grad_norms[:kept]
-    return Trajectory(samples=samples, solver_iterations=iterations,
-                      grad_norms=grad_norms, diverged=diverged)
+    if isinstance(target, GaussianTarget):
+        kept = _gaussian_chain(target, config.theta, config.h, noise, samples)
+    else:
+        # The kernels skip per-step input validation: iterates are vetted by
+        # the divergence check below, and the noise stream only emits finite
+        # vectors.
+        if config.theta == 0.0:
+            step = _explicit_kernel(target, 0.0, config.h)
+        else:
+            step = _newton_kernel(target, config.theta, config.h, config.eps)
+        where = f"theta={config.theta}, h={config.h}"
+        x, kept = x0, n
+        for k in range(n):
+            if k % NOISE_BLOCK == 0:
+                draws = noise.block(k // NOISE_BLOCK)
+            try:
+                x, stats = step(x, draws[k % NOISE_BLOCK])
+            except NumericalError as exc:
+                raise NumericalError(f"inner solver failed at {where}, step {k}: {exc}") from exc
+            if stats is not None:
+                if not stats.converged:
+                    raise NumericalError(
+                        f"inner solver failed at {where}, step {k}: "
+                        f"grad norm {stats.grad_norm:.3e} > eps {config.eps:.3e} "
+                        f"after {stats.iterations} iterations; chain aborted"
+                    )
+                iterations[k] = stats.iterations
+                grad_norms[k] = stats.grad_norm
+            samples[k + 1] = x
+            if _diverged(x):
+                kept = k + 1
+                break
+    return Trajectory(samples=samples[: kept + 1], solver_iterations=iterations[:kept],
+                      grad_norms=grad_norms[:kept], diverged=kept > 0 and _diverged(samples[kept]))
+
+
+def _diverged(x) -> bool:
+    # One dot product: true for NaN and inf as well as for large norms.
+    return not x @ x <= DIVERGENCE_THRESHOLD**2
+
+
+def _gaussian_chain(target: GaussianTarget, theta: float, h: float, noise: NoiseStream,
+                    samples: np.ndarray) -> int:
+    """Fill samples[1:] with the closed-form chain from samples[0] and return
+    the steps kept: up to and including the first diverged row.
+
+    The chain runs in the eigenbasis of Q, one noise block at a time: with
+    y = (x - mean) V and w = b (z V), each step is y <- a y + w, and a block
+    maps back to x with one matmul.
+    """
+    a, b = _gaussian_coefficients(target, theta, h)
+    vecs, mean = target.eigenvectors, target.mean
+    n = samples.shape[0] - 1
+    y = (samples[0] - mean) @ vecs
+    # A diverging chain may overflow to inf and nan; the row check sees both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, NOISE_BLOCK):
+            rows = min(NOISE_BLOCK, n - start)
+            w = (noise.block(start // NOISE_BLOCK)[:rows] @ vecs) * b
+            w[0] += a * y
+            for k in range(1, rows):  # w[k] becomes y after step start + k
+                w[k] += a * w[k - 1]
+            y = w[rows - 1]
+            block = samples[start + 1: start + 1 + rows]
+            np.matmul(w, vecs.T, out=block)
+            block += mean
+            bad = np.flatnonzero(~(np.einsum("ij,ij->i", block, block)
+                                   <= DIVERGENCE_THRESHOLD**2))
+            if bad.size:
+                return start + int(bad[0]) + 1
+    return n

@@ -136,49 +136,52 @@ class LogisticRegressionTarget(TargetDensity):
     f(x) = sum_i [log(1 + exp(a_i'x)) - b_i a_i'x] + (prior_precision/2)||x||^2
     for design rows a_i and binary labels b_i. The curvature bounds follow the
     spectral sandwich m = prior_precision, M = ||A||^2/4 + prior_precision,
-    with the exact spectral norm ||A|| (largest singular value).
+    with the exact spectral norm ||A|| (largest singular value). The one copy
+    of the design is held as a C-contiguous A' (d x n), so the hot products
+    are x @ A', A' @ r and A' @ (A' * w).T; `design` is a read-only view of it.
     """
 
     def __init__(self, design, labels, prior_precision: float = 1.0):
-        design = np.array(design, dtype=float)
+        design_t = np.array(np.asarray(design, dtype=float).T, order="C")
         labels = np.array(labels, dtype=float)
-        if design.ndim != 2:
+        if design_t.ndim != 2:
             raise ValueError("design must be a 2-d matrix")
-        n_obs, d = design.shape
+        d, n_obs = design_t.shape
         if labels.shape != (n_obs,):
             raise ValueError(f"labels must have length {n_obs}, got {labels.shape}")
-        if not np.all(np.isfinite(design)):
+        if not np.all(np.isfinite(design_t)):
             raise ValueError("design matrix contains non-finite entries")
         if not np.all(np.isin(labels, (0.0, 1.0))):
             raise ValueError("labels must be 0 or 1")
         if not prior_precision > 0:
             raise ValueError(f"prior precision must be positive, got {prior_precision}")
+        for arr in (design_t, labels):
+            arr.flags.writeable = False
         self.dim = d
-        self.design = design
+        self._design_t = design_t
+        self.design = design_t.T
         self.labels = labels
         self.prior_precision = float(prior_precision)
-        norm = float(np.linalg.norm(design, 2))
+        norm = float(np.linalg.norm(self.design, 2))
         self._bounds = (self.prior_precision, norm**2 / 4.0 + self.prior_precision)
-        for arr in (self.design, self.labels):
-            arr.flags.writeable = False
 
     def value(self, x) -> float:
         x = _check_point(x, self.dim)
-        t = self.design @ x
+        t = x @ self._design_t
         return float(np.logaddexp(0.0, t).sum() - self.labels @ t
                      + 0.5 * self.prior_precision * (x @ x))
 
     def _shared(self, x) -> np.ndarray:
-        return expit(self.design @ x)
+        return expit(x @ self._design_t)
 
     def _gradient(self, x, shared=None) -> np.ndarray:
         p = self._shared(x) if shared is None else shared
-        return self.design.T @ (p - self.labels) + self.prior_precision * x
+        return self._design_t @ (p - self.labels) + self.prior_precision * x
 
     def _hessian(self, x, shared=None) -> np.ndarray:
         p = self._shared(x) if shared is None else shared
         weights = p * (1.0 - p)  # in (0, 1/4]
-        hess = self.design.T @ (self.design * weights[:, None])
+        hess = self._design_t @ (self._design_t * weights).T
         hess.flat[:: self.dim + 1] += self.prior_precision
         return (hess + hess.T) / 2.0
 
@@ -254,7 +257,7 @@ def load_dataset(path, label_col: int = 0, delimiter: str = ","):
 def mode(target: TargetDensity, x0: Optional[np.ndarray] = None,
          tol: float = MODE_GRAD_TOL) -> np.ndarray:
     """Minimizer of the target, by Newton with gradient tolerance 1e-10."""
-    start = np.zeros(target.dim) if x0 is None else np.asarray(x0, dtype=float)
+    start = np.zeros(target.dim) if x0 is None else np.array(x0, dtype=float)
     problem = SolveProblem(gradient=target.gradient, hessian=target.hessian, x0=start, tol=tol)
     result = newton_solve(problem)
     if not result.converged:

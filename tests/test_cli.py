@@ -206,7 +206,10 @@ _WRITING_ARGV = {
     "logistic": ["logistic", "--dataset", "unread.csv", "--theta", "0.5", "--h", "1.0"],
     "heuristic": ["heuristic", "--kappa", "10", "--dim", "4"],
     "contour": ["contour", "--kappa", "4", "--theta", "0.5", "--h", "1.0"],
+    "contour-dump-matrix": ["contour", "--kappa", "4", "--theta", "0.5", "--h", "1.0"],
 }
+# The flag naming the checked path; "--out" unless listed.
+_OUT_FLAG = {"contour-dump-matrix": "--dump-matrix"}
 
 
 @pytest.mark.parametrize("command", sorted(_WRITING_ARGV))
@@ -214,7 +217,7 @@ def test_cli_refuses_existing_out_before_any_work(tmp_path, capsys, monkeypatch,
     out = tmp_path / "rows.csv"
     out.write_text("keep\n")
     _forbid_work(monkeypatch)
-    assert main(_WRITING_ARGV[command] + ["--out", str(out)]) == 1
+    assert main(_WRITING_ARGV[command] + [_OUT_FLAG.get(command, "--out"), str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {out} exists; pass --overwrite to replace it" in captured.err
@@ -226,7 +229,8 @@ def test_cli_refuses_out_in_missing_directory_before_any_work(tmp_path, capsys,
                                                               monkeypatch, command):
     out = tmp_path / "missing" / "rows.csv"
     _forbid_work(monkeypatch)
-    assert main(_WRITING_ARGV[command] + ["--out", str(out), "--overwrite"]) == 1
+    assert main(_WRITING_ARGV[command]
+                + [_OUT_FLAG.get(command, "--out"), str(out), "--overwrite"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"directory {tmp_path / 'missing'} does not exist" in captured.err

@@ -142,7 +142,7 @@ def test_newton_matches_cho_oracle_bit_for_bit_on_logistic_subproblems(theta):
             problem = SolveProblem(
                 gradient=lambda u: subproblem_gradient(target, u, v, theta, h),
                 hessian=lambda u: theta * target.hessian(u) + (2.0 / h) * np.eye(6),
-                x0=v, tol=1e-10)
+                x0=x, tol=1e-10)
             oracle = cho_newton_solve(problem)
             assert oracle.converged and oracle.iterations > 0
             for result in (newton_solve(problem), iila_step(target, x, z, config)[1]):

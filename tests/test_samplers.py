@@ -9,6 +9,7 @@ import pytest
 from thetalangevin import (
     GaussianTarget,
     NoiseStream,
+    NumericalError,
     SamplerConfig,
     StabilityWarning,
     iila_step,
@@ -19,11 +20,14 @@ from thetalangevin import (
     ula_step,
 )
 from thetalangevin.cli import build_gaussian_target
+from thetalangevin.optim import SolveProblem
 from thetalangevin.samplers import (DIVERGENCE_THRESHOLD, NOISE_BLOCK, _gaussian_kernel,
                                     explicit_predictor)
+from thetalangevin.targets import TargetDensity
 from thetalangevin.theory import gaussian_stationary_covariance
 
-from oracles import bisect_root, cholesky_gaussian_step, fd_gradient, gauss_kronrod
+from oracles import (bisect_root, cho_newton_solve, cholesky_gaussian_step, fd_gradient,
+                     gauss_kronrod)
 from test_targets import make_logistic
 
 
@@ -188,6 +192,21 @@ def test_run_chain_gaussian_matches_cholesky_oracle_chain():
             assert rel.max() <= 1e-10, (theta, h, rel.max())
             flags.add(diverged)
     assert flags == {True, False}
+
+
+def test_run_chain_gaussian_divergence_raises_no_runtime_warning():
+    # |a| ~ 1500 overflows to inf within the first noise block; the chain must
+    # still stop at the first row beyond the threshold, silently.
+    target = GaussianTarget(np.zeros(3), np.diag([1.0, 2.0, 3.0]))
+    config = SamplerConfig(theta=0.0, h=1e3, n_steps=2 * NOISE_BLOCK, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = run_chain(target, np.ones(3), config)
+    slow, diverged = cholesky_oracle_chain(target, np.ones(3), config)
+    assert traj.diverged and diverged
+    assert traj.samples.shape == slow.shape
+    assert traj.solver_iterations.shape == traj.grad_norms.shape == (slow.shape[0] - 1,)
 
 
 def test_gaussian_kernel_memo_bounded_and_target_untouched():
@@ -424,6 +443,65 @@ def test_run_chain_aborts_on_inner_solver_failure():
     with pytest.raises(NumericalError,
                        match=r"inner solver failed at theta=1\.0, h=1\.0, step 0: "):
         run_chain(target, np.zeros(2), config)
+
+
+class _BrokenHessianTarget(TargetDensity):
+    """2-d target with gradient x and a fixed, possibly invalid, Hessian."""
+
+    dim = 2
+
+    def __init__(self, hessian):
+        self._hess = np.asarray(hessian, dtype=float)
+
+    def _gradient(self, x, shared=None):
+        return np.array(x, dtype=float)
+
+    def _hessian(self, x, shared=None):
+        return self._hess.copy()
+
+    def convexity_bounds(self):
+        return 1.0, 1.0
+
+
+@pytest.mark.parametrize("hessian, reason", [
+    (-10.0 * np.eye(2), "Cholesky factorization failed at iteration 0; "
+                        "Hessian is not positive definite"),
+    (np.full((2, 2), np.nan), "Newton step is not finite at iteration 0"),
+], ids=["indefinite", "nan"])
+def test_run_chain_names_grid_point_on_newton_failures(hessian, reason):
+    target = _BrokenHessianTarget(hessian)
+    config = SamplerConfig(theta=1.0, h=1.0, n_steps=5, seed=2)
+    with pytest.raises(NumericalError) as excinfo:
+        run_chain(target, np.zeros(2), config)
+    assert str(excinfo.value) == f"inner solver failed at theta=1.0, h=1.0, step 0: {reason}"
+    assert isinstance(excinfo.value.__cause__, NumericalError)
+    assert str(excinfo.value.__cause__) == reason
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_newton_from_current_point_beats_predictor_start_at_large_h(theta):
+    # At h M >= 50 the explicit predictor v is a poor start. The chain's Newton
+    # solves start at the current point and must take fewer iterations in
+    # total than the oracle started at v on the same subproblems.
+    target = make_logistic(n_obs=60, dim=4, seed=17)
+    h, eps = 50.0 / target.convexity_bounds()[1], 1e-9
+    config = SamplerConfig(theta=theta, h=h, eps=eps, n_steps=40, seed=8)
+    traj = run_chain(target, np.zeros(4), config)
+    assert not traj.diverged
+    stream = NoiseStream(8, 4)
+    oracle_total = 0
+    for k in range(config.n_steps):
+        x = traj.samples[k]
+        v = explicit_predictor(target, x, stream.vector(k), theta, h)
+        oracle = cho_newton_solve(SolveProblem(
+            gradient=lambda u: subproblem_gradient(target, u, v, theta, h),
+            hessian=lambda u: theta * target.hessian(u) + (2.0 / h) * np.eye(4),
+            x0=v, tol=eps))
+        assert oracle.converged
+        # Both points are within eps / (2/h) of the subproblem's minimizer.
+        np.testing.assert_allclose(traj.samples[k + 1], oracle.x, rtol=0, atol=h * eps)
+        oracle_total += oracle.iterations
+    assert traj.solver_iterations.sum() < oracle_total
 
 
 def test_exactness_equivalence_chain():
