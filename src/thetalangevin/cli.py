@@ -15,7 +15,6 @@ import os
 import sys
 import typing
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -34,8 +33,8 @@ from .targets import GaussianTarget, LogisticRegressionTarget
 
 SEED_ENV_VAR = "THETALANGEVIN_SEED"
 
-# Noise stream ids: 0 chain steps, 1 exact reference draws, 2 reference chain.
-_STREAM_CHAIN = 0
+# Noise stream ids: 0 chain steps (run_chain's default), 1 exact reference
+# draws, 2 reference chain.
 _STREAM_EXACT_REFERENCE = 1
 _STREAM_REFERENCE_CHAIN = 2
 
@@ -65,7 +64,6 @@ class ExperimentConfig:
     ref_h: float | None = None
     out: str | None = None
     overwrite: bool = False
-    workers: int = 1
     source: tuple | None = None
     grid_count: int = 50
     span: float | None = None
@@ -83,8 +81,10 @@ class ExperimentConfig:
             raise ValueError("burn-in must be >= 0")
         if self.h_count < 0:
             raise ValueError(f"h_count must be >= 0, got {self.h_count}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not self.eps >= 0:
+            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if self.ref_h is not None and not 0 < self.ref_h < math.inf:
+            raise ValueError(f"ref_h must be positive and finite, got {self.ref_h}")
         for name in ("thin", "ref_thin"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -145,12 +145,11 @@ def _grid_row(target, config: ExperimentConfig, theta: float, h: float,
     chain_config = SamplerConfig(theta=theta, h=h, eps=config.eps,
                                  n_steps=config.burn_in + config.n_samples * thin,
                                  seed=config.seed)
-    noise = NoiseStream(config.seed, target.dim, stream=_STREAM_CHAIN)
     with warnings.catch_warnings():
         # The sweep probes unstable step sizes on purpose; divergence is
         # reported through the output row, not a per-point warning.
         warnings.simplefilter("ignore", StabilityWarning)
-        trajectory = run_chain(target, np.zeros(target.dim), chain_config, noise=noise)
+        trajectory = run_chain(target, np.zeros(target.dim), chain_config)
     if trajectory.diverged:
         return GridRow(theta=theta, h=h, mmtv=math.nan, mmd2=math.nan, diverged=True)
     sample_set = SampleSet(trajectory.samples[config.burn_in + thin::thin],
@@ -158,14 +157,6 @@ def _grid_row(target, config: ExperimentConfig, theta: float, h: float,
     mmtv_val = diagnostics.mmtv(sample_set, reference) if compute_mmtv else math.nan
     mmd_val = diagnostics.mmd2(sample_set, reference)
     return GridRow(theta=theta, h=h, mmtv=mmtv_val, mmd2=mmd_val, diverged=False)
-
-
-def _run_grid(jobs, workers: int):
-    if workers <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
 
 
 def build_logistic_target(config: ExperimentConfig) -> LogisticRegressionTarget:
@@ -212,22 +203,20 @@ _SWEEP_SETUPS = {"gaussian": _gaussian_sweep_setup, "logistic": _logistic_sweep_
 
 
 def run_sweep(config: ExperimentConfig, compute_mmtv: bool = True) -> list[GridRow]:
-    """Discrepancy sweep over (theta, h), rows sorted by (theta, h). config.kind
+    """Discrepancy sweep over (theta, h), one grid point after another, rows
+    sorted by (theta, h) (thetas arrive in the caller's order). config.kind
     picks the target, the step h_half bounding the default h grid, and the
     reference set, which is built only once the h grid has been resolved. The
-    reference side of both discrepancies is computed once, for every row."""
+    reference side of both discrepancies is computed once, for every row.
+    compute_mmtv=False leaves mmtv as nan and scores rows by mmd2 alone."""
     setup = _SWEEP_SETUPS.get(config.kind)
     if setup is None:
         raise ValueError(f"no sweep for kind {config.kind!r}; use one of {sorted(_SWEEP_SETUPS)}")
     target, h_half, build_reference = setup(config)
     h_grid = resolve_h_grid(config, target.convexity_bounds()[1], h_half)
     reference = diagnostics.Reference.from_samples(build_reference(), seed=config.seed)
-    jobs = [
-        (lambda th=th, h=h: _grid_row(target, config, th, h, reference,
-                                      compute_mmtv=compute_mmtv))
-        for th in config.thetas for h in h_grid
-    ]
-    rows = _run_grid(jobs, config.workers)
+    rows = [_grid_row(target, config, th, h, reference, compute_mmtv=compute_mmtv)
+            for th in config.thetas for h in h_grid]
     rows.sort(key=lambda r: (r.theta, r.h))
     return rows
 
@@ -384,7 +373,6 @@ def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--thin", type=int)
     parser.add_argument("--out")
     parser.add_argument("--overwrite", action="store_true", default=None)
-    parser.add_argument("--workers", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -116,6 +116,6 @@ def _givens_to_unit_diagonal(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def dump_matrix(matrix: np.ndarray, path, delimiter: str = ",") -> None:
-    """Write a matrix as delimited text, one row per line, to a path or text handle."""
-    np.savetxt(path, matrix, delimiter=delimiter, fmt="%.17g")
+def dump_matrix(matrix: np.ndarray, path) -> None:
+    """Write a matrix as comma-separated text, one row per line, to a path or text handle."""
+    np.savetxt(path, matrix, delimiter=",", fmt="%.17g")

@@ -9,8 +9,6 @@ construction, and all evaluations are pure, so they are safe to share across
 threads.
 """
 
-from typing import Optional
-
 import numpy as np
 from scipy.special import expit
 
@@ -189,8 +187,9 @@ class LogisticRegressionTarget(TargetDensity):
         return self._bounds
 
 
-def standardize_design(features: np.ndarray, add_intercept: bool = True) -> np.ndarray:
-    """Center and scale each feature column to unit variance, append intercept.
+def standardize_design(features: np.ndarray) -> np.ndarray:
+    """Center and scale each feature column to unit variance, then append an
+    intercept column of ones.
 
     Raises on constant columns, which cannot be scaled.
     """
@@ -203,13 +202,11 @@ def standardize_design(features: np.ndarray, add_intercept: bool = True) -> np.n
     if constant.size:
         raise ValueError(f"constant feature column(s) {constant.tolist()} cannot be standardized")
     design = (features - mean) / std
-    if add_intercept:
-        design = np.hstack([design, np.ones((design.shape[0], 1))])
-    return design
+    return np.hstack([design, np.ones((design.shape[0], 1))])
 
 
-def load_dataset(path, label_col: int = 0, delimiter: str = ","):
-    """Read a delimited dataset: one observation per row, one label column.
+def load_dataset(path, label_col: int = 0):
+    """Read a comma-separated dataset: one observation per row, one label column.
 
     Returns (features, labels) with labels coerced to {0, 1}. Rows that fail
     to parse raise a ValueError naming the offending line number.
@@ -221,7 +218,7 @@ def load_dataset(path, label_col: int = 0, delimiter: str = ","):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(delimiter)
+            parts = line.split(",")
             if n_cols is None:
                 n_cols = len(parts)
                 if n_cols < 2:
@@ -254,11 +251,11 @@ def load_dataset(path, label_col: int = 0, delimiter: str = ","):
     return features, labels
 
 
-def mode(target: TargetDensity, x0: Optional[np.ndarray] = None,
-         tol: float = MODE_GRAD_TOL) -> np.ndarray:
-    """Minimizer of the target, by Newton with gradient tolerance 1e-10."""
-    start = np.zeros(target.dim) if x0 is None else np.array(x0, dtype=float)
-    problem = SolveProblem(gradient=target.gradient, hessian=target.hessian, x0=start, tol=tol)
+def mode(target: TargetDensity) -> np.ndarray:
+    """Minimizer of the target, by Newton from the origin to gradient norm
+    MODE_GRAD_TOL (1e-10)."""
+    problem = SolveProblem(gradient=target.gradient, hessian=target.hessian,
+                           x0=np.zeros(target.dim), tol=MODE_GRAD_TOL)
     result = newton_solve(problem)
     if not result.converged:
         raise NumericalError(

@@ -17,6 +17,7 @@ from thetalangevin import (
     NoiseStream,
     SampleSet,
     SamplerConfig,
+    StabilityWarning,
     iila_step,
     ila_step_gaussian,
     mmd2,
@@ -97,7 +98,9 @@ def test_criterion_4_explicit_transience_implicit_stability():
     target = build_gaussian_target(100, 1e4, seed=0)
     _, big_m = target.convexity_bounds()
     h = 8.0 / big_m
-    ula = run_chain(target, np.zeros(100), SamplerConfig(theta=0.0, h=h, n_steps=10_000, seed=0))
+    with pytest.warns(StabilityWarning):
+        ula = run_chain(target, np.zeros(100),
+                        SamplerConfig(theta=0.0, h=h, n_steps=10_000, seed=0))
     norms = []
     for theta in (0.5, 1.0):
         config = SamplerConfig(theta=theta, h=h, n_steps=10_000, seed=0)

@@ -2,7 +2,8 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from thetalangevin import (
     LogisticRegressionTarget,
     SampleSet,
     SamplerConfig,
+    StabilityWarning,
     mmtv,
     run_chain,
     step_size_heuristic,
@@ -93,20 +95,21 @@ def test_gaussian_experiment_flags_ula_divergence():
     assert not implicit_row.diverged
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "logistic"])
-def test_sweep_worker_pool_matches_serial(kind, tmp_path):
-    if kind == "gaussian":
-        config = small_gaussian_config()
-    else:
-        dataset = tmp_path / "synthetic.csv"
-        write_synthetic_dataset(dataset, n_obs=30, dim=2, seed=4)
-        config = ExperimentConfig(kind="logistic", dataset=str(dataset),
-                                  thetas=(0.0, 0.5), h_values=(0.2, 1.0),
-                                  n_samples=60, seed=5, thin=3, ref_thin=2)
-    serial = run_sweep(replace(config, workers=1))
-    parallel = run_sweep(replace(config, workers=3))
-    assert [(r.theta, r.h, r.mmtv, r.mmd2) for r in serial] == \
-        [(r.theta, r.h, r.mmtv, r.mmd2) for r in parallel]
+def test_sweep_contains_stability_warnings_and_restores_filters():
+    # theta = 0 at h = 16/M is past the stability bound: the sweep reports the
+    # row as diverged, lets no StabilityWarning escape and leaves the filter
+    # list as it found it, so later chains in the process still warn.
+    target = build_gaussian_target(4, 10.0, seed=3)
+    h = 16.0 / target.convexity_bounds()[1]
+    config = small_gaussian_config(h_values=(h,), thetas=(0.0, 0.5), n_samples=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StabilityWarning)
+        filters = list(warnings.filters)
+        rows = run_sweep(config)
+        assert warnings.filters == filters
+    assert [r.diverged for r in rows] == [True, False]
+    with pytest.warns(StabilityWarning):
+        run_chain(target, np.zeros(4), SamplerConfig(theta=0.0, h=h, n_steps=10))
 
 
 def test_sweep_rejects_unknown_kind():
@@ -436,7 +439,7 @@ def test_config_file_parses_every_field_by_annotation(tmp_path):
         prior_precision=0.25, thetas=(0.0, 0.75), h_values=(0.5, 2.0), h_min=0.001,
         h_max=30.0, h_count=9, n_samples=321, eps=1e-7, seed=42, burn_in=5, thin=4,
         ref_steps=1000, ref_thin=3, ref_h=0.0625, out="rows.csv", overwrite=True,
-        workers=2, source=(1.5, -2.0), grid_count=17, span=3.5,
+        source=(1.5, -2.0), grid_count=17, span=3.5,
     )
     assert set(expected) == {f.name for f in fields(ExperimentConfig)}
     text = {"thetas": "0,0.75", "h_values": "0.5, 2", "source": "1.5,-2",
@@ -582,18 +585,20 @@ def test_cli_rejects_non_finite_h_values(tmp_path, capsys, monkeypatch, kind):
         ExperimentConfig(h_values=(math.inf,))
 
 
-@pytest.mark.parametrize("flag, field, value, bound", [
-    ("--h-count", "h_count", "-1", ">= 0"),
-    ("--workers", "workers", "0", ">= 1"),
-    ("--workers", "workers", "-3", ">= 1"),
+@pytest.mark.parametrize("command, field, value, bound", [
+    ("gaussian", "h_count", "-1", ">= 0"),
+    ("gaussian", "eps", "-1", ">= 0"),
+    ("logistic", "ref_h", "0", "positive and finite"),
+    ("logistic", "ref_h", "nan", "positive and finite"),
 ])
-def test_cli_rejects_bad_h_count_and_workers(capsys, monkeypatch, flag, field, value, bound):
+def test_cli_rejects_bad_h_count_eps_and_ref_h(capsys, monkeypatch, command, field, value,
+                                               bound):
     _forbid_work(monkeypatch)
-    assert main(["gaussian", "--dim", "4", "--theta", "0.5", "--samples", "50",
-                 flag, value]) == 1
+    flag = "--" + field.replace("_", "-")
+    assert main(_WRITING_ARGV[command] + [flag, value]) == 1
     assert f"error: {field} must be {bound}, got {value}" in capsys.readouterr().err
     with pytest.raises(ValueError, match=f"{field} must be {bound}"):
-        ExperimentConfig(**{field: int(value)})
+        ExperimentConfig(**_coerce_config_values({field: value}))
 
 
 @pytest.mark.parametrize("flag, value", [("--h-max", "inf"), ("--h-min", "inf"),
