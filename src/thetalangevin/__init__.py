@@ -22,7 +22,6 @@ from .samplers import (
     iila_step,
     ila_step_gaussian,
     run_chain,
-    subproblem_gradient,
     transition_log_density,
     ula_step,
 )

@@ -85,6 +85,12 @@ class ExperimentConfig:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
         if self.ref_h is not None and not 0 < self.ref_h < math.inf:
             raise ValueError(f"ref_h must be positive and finite, got {self.ref_h}")
+        for flag, value in (("--h-min", self.h_min), ("--h-max", self.h_max)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
+        if self.source is not None and not (
+                len(self.source) == 2 and all(map(math.isfinite, self.source))):
+            raise ValueError(f"source must be two finite numbers x,y, got {self.source}")
         for name in ("thin", "ref_thin"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -115,9 +121,6 @@ def resolve_h_grid(config: ExperimentConfig, big_m: float, h_half: float) -> tup
     """Explicit h list if given, else log-spaced [4/(100 M), 100 h_half]."""
     if config.h_values is not None:
         return config.h_values
-    for flag, value in (("--h-min", config.h_min), ("--h-max", config.h_max)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
     lo = config.h_min if config.h_min is not None else 4.0 / (100.0 * big_m)
     hi = config.h_max if config.h_max is not None else 100.0 * h_half
     if not 0 < lo < hi:
@@ -152,8 +155,7 @@ def _grid_row(target, config: ExperimentConfig, theta: float, h: float,
         trajectory = run_chain(target, np.zeros(target.dim), chain_config)
     if trajectory.diverged:
         return GridRow(theta=theta, h=h, mmtv=math.nan, mmd2=math.nan, diverged=True)
-    sample_set = SampleSet(trajectory.samples[config.burn_in + thin::thin],
-                           label=f"theta={theta} h={h}")
+    sample_set = SampleSet(trajectory.samples[config.burn_in + thin::thin])
     mmtv_val = diagnostics.mmtv(sample_set, reference) if compute_mmtv else math.nan
     mmd_val = diagnostics.mmd2(sample_set, reference)
     return GridRow(theta=theta, h=h, mmtv=mmtv_val, mmd2=mmd_val, diverged=False)
@@ -175,7 +177,7 @@ def _gaussian_sweep_setup(config: ExperimentConfig):
 
     def build_reference():
         ref_rng = np.random.default_rng((config.seed, _STREAM_EXACT_REFERENCE))
-        return SampleSet(target.exact_sample(config.n_samples, ref_rng), label="exact")
+        return SampleSet(target.exact_sample(config.n_samples, ref_rng))
     return target, h_half, build_reference
 
 
@@ -194,8 +196,7 @@ def _logistic_sweep_setup(config: ExperimentConfig):
                                    n_steps=ref_keep * config.ref_thin, seed=config.seed)
         ref_noise = NoiseStream(config.seed, target.dim, stream=_STREAM_REFERENCE_CHAIN)
         ref_traj = run_chain(target, np.zeros(target.dim), ref_config, noise=ref_noise)
-        return SampleSet(ref_traj.samples[config.ref_thin::config.ref_thin],
-                         label="reference-chain")
+        return SampleSet(ref_traj.samples[config.ref_thin::config.ref_thin])
     return target, h_half, build_reference
 
 
@@ -238,17 +239,15 @@ def build_contour_target(config: ExperimentConfig):
     return build_gaussian_target(2, config.kappa, config.seed)
 
 
-def run_kernel_contour(config: ExperimentConfig, target=None) -> list[tuple]:
-    """Transition-density values on a square grid around a source point.
+def run_kernel_contour(config: ExperimentConfig, target) -> list[tuple]:
+    """Transition-density values of target on a square grid around a source point.
 
     Requires a 2-d target (Gaussian via kappa, or logistic with one feature
-    column plus intercept); it is built from config unless given. Returns rows
-    (theta, x, y, log_density).
+    column plus intercept), as build_contour_target(config) gives. Returns
+    rows (theta, x, y, log_density).
     """
     if config.h_values is not None and len(config.h_values) > 1:
         raise ValueError(f"contour draws one step size; give one --h, got {config.h_values}")
-    if target is None:
-        target = build_contour_target(config)
     if target.dim != 2:
         raise ValueError(f"kernel contours need a 2-d target, got dim {target.dim}")
     if config.source is not None:

@@ -36,10 +36,9 @@ _SIGN_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class SampleSet:
-    """A finite collection of d-dimensional points with an optional label."""
+    """A finite collection of d-dimensional points."""
 
     points: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)

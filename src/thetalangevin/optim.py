@@ -8,7 +8,7 @@ iteration cap is reached first.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -25,23 +25,17 @@ _MAX_BACKTRACKS = 60
 
 @dataclass
 class SolveProblem:
-    """Strongly convex problem described by its gradient and Hessian oracles.
-
-    tol is the gradient-norm termination tolerance; max_iter overrides the
-    per-solver default cap when set.
-    """
+    """Strongly convex problem described by its gradient and Hessian oracles,
+    solved to the gradient-norm termination tolerance tol."""
 
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     tol: float
-    max_iter: Optional[int] = None
 
     def __post_init__(self):
         if self.tol < 0:
             raise ValueError(f"tolerance must be non-negative, got {self.tol}")
-        if self.tol == 0 and self.max_iter is None:
-            raise ValueError("tol == 0 requires a finite iteration cap")
 
 
 @dataclass
@@ -61,12 +55,11 @@ def newton_solve(problem: SolveProblem) -> SolveResult:
     never edited in place, so x0 is not copied: the first gradient call gets
     x0 itself, and so does the result when no iteration runs.
     """
-    cap = NEWTON_ITER_CAP if problem.max_iter is None else problem.max_iter
     x = np.asarray(problem.x0, dtype=float)
     g = problem.gradient(x)
     sq = float(g @ g)
     iterations = 0
-    while sq > problem.tol**2 and iterations < cap:
+    while sq > problem.tol**2 and iterations < NEWTON_ITER_CAP:
         factor, info = dpotrf(problem.hessian(x), lower=1, clean=0)
         if info != 0:
             raise NumericalError(f"Cholesky factorization failed at iteration {iterations}; "

@@ -12,6 +12,7 @@ density of the implicit update is available in closed form for diagnostics.
 """
 
 import functools
+import math
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -38,10 +39,8 @@ class StabilityWarning(UserWarning):
 def _check_theta_h(theta: float, h: float) -> None:
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if not np.isfinite(h):
-        raise ValueError(f"step size must be finite, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size must be {'finite' if h > 0 else 'positive'}, got {h}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ class NoiseStream:
         self.seed = int(seed) % (1 << 64)
         self.dim = int(dim)
         self.stream = int(stream)
-        self._memo = (None, None)
 
     def block(self, b: int) -> np.ndarray:
         """Read-only (NOISE_BLOCK, dim) noise of steps b*NOISE_BLOCK onward."""
@@ -91,15 +89,6 @@ class NoiseStream:
         draws = np.random.Generator(bitgen).standard_normal((NOISE_BLOCK, self.dim))
         draws.flags.writeable = False
         return draws
-
-    def vector(self, k: int) -> np.ndarray:
-        """Read-only noise of step k, through a one-block memo."""
-        b, row = divmod(int(k), NOISE_BLOCK)
-        index, draws = self._memo
-        if index != b:
-            draws = self.block(b)
-            self._memo = (b, draws)
-        return draws[row]
 
 
 @dataclass
@@ -201,12 +190,6 @@ def _newton_kernel(target: TargetDensity, theta: float, h: float, eps: float):
 def ula_step(target: TargetDensity, x, z, h: float) -> np.ndarray:
     """Explicit update x - (h/2) grad f(x) + sqrt(h) z."""
     return explicit_predictor(target, x, z, 0.0, h)
-
-
-def subproblem_gradient(target: TargetDensity, u, v, theta: float, h: float) -> np.ndarray:
-    """Gradient of the implicit-step objective: theta*grad f(u) + (2/h)(u - v)."""
-    u, v = _check_step(target, u, v, theta, h)
-    return theta * target._gradient(u) + (2.0 / h) * (u - v)
 
 
 def explicit_predictor(target: TargetDensity, x, z, theta: float, h: float) -> np.ndarray:

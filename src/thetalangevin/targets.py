@@ -22,7 +22,7 @@ def _check_point(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise ValueError(f"expected a vector of length {dim}, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise ValueError("input point contains non-finite entries")
     return x
 
@@ -36,6 +36,19 @@ class TargetDensity:
     """
 
     dim: int
+    # Each constructor sets this last; from then on no attribute can be set or
+    # deleted, so no evaluation or cached step operator can go stale.
+    _frozen = False
+
+    def __setattr__(self, name, value):
+        if self._frozen:
+            raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if self._frozen:
+            raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+        object.__delattr__(self, name)
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -92,6 +105,7 @@ class GaussianTarget(TargetDensity):
         self.eigenvalues, self.eigenvectors = sv[::-1] ** 2, vt[::-1].T
         for arr in (self.mean, self.precision, self.eigenvalues, self.eigenvectors):
             arr.flags.writeable = False
+        self._frozen = True
 
     @classmethod
     def from_covariance(cls, mean, covariance) -> "GaussianTarget":
@@ -162,6 +176,7 @@ class LogisticRegressionTarget(TargetDensity):
         self.prior_precision = float(prior_precision)
         norm = float(np.linalg.norm(self.design, 2))
         self._bounds = (self.prior_precision, norm**2 / 4.0 + self.prior_precision)
+        self._frozen = True
 
     def value(self, x) -> float:
         x = _check_point(x, self.dim)

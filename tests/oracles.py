@@ -1,12 +1,14 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles and test helpers shared by the test modules.
 
-These deliberately avoid the package's own code paths: finite differences for
-derivative checks, bisection for scalar root finds, fixed-step gradient descent
-as a cross-check for the Newton solver, the same Newton iteration through
-scipy's checked Cholesky wrappers, plain dense algebra for spectra, a
-Cholesky solve for the closed-form Gaussian step, and adaptive 7/15
+The oracles deliberately avoid the package's own code paths: finite
+differences for derivative checks, bisection for scalar root finds, fixed-step
+gradient descent as a cross-check for the Newton solver, the same Newton
+iteration through scipy's checked Cholesky wrappers, the implicit-step
+subproblem gradient from the public target gradient, plain dense algebra for
+spectra, a Cholesky solve for the closed-form Gaussian step, and adaptive 7/15
 Gauss-Kronrod quadrature of pointwise kernel density estimates for the
-marginal total variation, and scipy's own random correlation matrices.
+marginal total variation, and scipy's own random correlation matrices. The
+helper noise_rows reads a noise stream step by step, through its blocks.
 """
 
 import heapq
@@ -21,6 +23,7 @@ from thetalangevin.diagnostics import silverman_bandwidth
 from thetalangevin.matrixgen import rescale_to_trace
 from thetalangevin.optim import (NEWTON_ITER_CAP, _ARMIJO_FACTOR, _BACKTRACK_RATIO,
                                  _MAX_BACKTRACKS)
+from thetalangevin.samplers import NOISE_BLOCK
 
 GRADIENT_DESCENT_ITER_CAP = 10_000
 MAX_QUADRATURE_INTERVALS = 1 << 15
@@ -66,14 +69,28 @@ def bisect_root(fun, lo, hi, tol=1e-12, max_iter=200):
     return 0.5 * (lo + hi)
 
 
-def gradient_descent_solve(problem: SolveProblem, mu: float, lipschitz: float) -> SolveResult:
-    """Fixed-step gradient descent with step 2/(mu + lipschitz).
+def noise_rows(stream, n: int) -> np.ndarray:
+    """Noise of steps 0, ..., n-1 of a NoiseStream, one row per step: the
+    stream's blocks stacked and cut to n rows."""
+    blocks = [stream.block(b) for b in range(math.ceil(n / NOISE_BLOCK))]
+    return np.concatenate(blocks)[:n]
+
+
+def subproblem_gradient(target, u, v, theta: float, h: float) -> np.ndarray:
+    """Gradient of the implicit-step objective, theta*grad f(u) + (2/h)(u - v),
+    through the target's public, checked gradient."""
+    return theta * target.gradient(u) + (2.0 / h) * (u - v)
+
+
+def gradient_descent_solve(problem: SolveProblem, mu: float, lipschitz: float,
+                           cap: int = GRADIENT_DESCENT_ITER_CAP) -> SolveResult:
+    """Fixed-step gradient descent with step 2/(mu + lipschitz), at most cap
+    iterations.
 
     mu and lipschitz are the strong-convexity and gradient-Lipschitz moduli of
     the objective. Converges geometrically at rate (kappa-1)/(kappa+1) per
     step, where kappa = lipschitz/mu.
     """
-    cap = GRADIENT_DESCENT_ITER_CAP if problem.max_iter is None else problem.max_iter
     step_size = 2.0 / (mu + lipschitz)
     x = np.array(problem.x0, dtype=float)
     g = problem.gradient(x)
@@ -91,12 +108,11 @@ def gradient_descent_solve(problem: SolveProblem, mu: float, lipschitz: float) -
 def cho_newton_solve(problem: SolveProblem) -> SolveResult:
     """newton_solve through scipy's cho_factor/cho_solve, with their shape and
     finite checks; the same LAPACK calls, so the same bits on valid input."""
-    cap = NEWTON_ITER_CAP if problem.max_iter is None else problem.max_iter
     x = np.array(problem.x0, dtype=float)
     g = problem.gradient(x)
     sq = float(g @ g)
     iterations = 0
-    while sq > problem.tol**2 and iterations < cap:
+    while sq > problem.tol**2 and iterations < NEWTON_ITER_CAP:
         step = cho_solve(cho_factor(problem.hessian(x), lower=True), -g)
         t = 1.0
         accepted = False

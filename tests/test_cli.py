@@ -22,6 +22,7 @@ from thetalangevin import cli
 from thetalangevin.cli import (
     ExperimentConfig,
     _coerce_config_values,
+    build_contour_target,
     build_gaussian_target,
     grid_rows_to_csv,
     load_config_file,
@@ -350,7 +351,7 @@ def test_contour_explicit_scheme_level_sets_are_circles():
 def test_contour_grid_normalizes():
     config = ExperimentConfig(kind="contour", kappa=4.0, thetas=(0.5,),
                               h_values=(1.0,), seed=4, grid_count=180, span=9.0)
-    rows = run_kernel_contour(config)
+    rows = run_kernel_contour(config, build_contour_target(config))
     axis_step = 2 * 9.0 / (180 - 1)
     total = sum(math.exp(lp) for _, _, _, lp in rows) * axis_step**2
     assert total == pytest.approx(1.0, abs=1e-2)
@@ -359,7 +360,8 @@ def test_contour_grid_normalizes():
 def test_contour_deterministic_rows():
     config = ExperimentConfig(kind="contour", kappa=4.0, thetas=(0.0, 1.0),
                               h_values=(0.5,), seed=4, grid_count=12, span=4.0)
-    assert run_kernel_contour(config) == run_kernel_contour(config)
+    target = build_contour_target(config)
+    assert run_kernel_contour(config, target) == run_kernel_contour(config, target)
 
 
 def test_contour_logistic_dataset_adapts_to_anisotropy(tmp_path):
@@ -369,7 +371,7 @@ def test_contour_logistic_dataset_adapts_to_anisotropy(tmp_path):
     write_synthetic_dataset(dataset, n_obs=50, dim=1, seed=3)
     config = ExperimentConfig(kind="contour", dataset=str(dataset), thetas=(1.0,),
                               h_values=(10.0,), seed=3, grid_count=9, span=3.0)
-    rows = run_kernel_contour(config)
+    rows = run_kernel_contour(config, build_contour_target(config))
     assert len(rows) == 81
     assert all(np.isfinite(lp) for _, _, _, lp in rows)
 
@@ -603,12 +605,24 @@ def test_cli_rejects_bad_h_count_eps_and_ref_h(capsys, monkeypatch, command, fie
 
 @pytest.mark.parametrize("flag, value", [("--h-max", "inf"), ("--h-min", "inf"),
                                          ("--h-min", "nan")])
-def test_cli_rejects_non_finite_h_range(capsys, flag, value):
+def test_cli_rejects_non_finite_h_range(capsys, monkeypatch, flag, value):
+    _forbid_work(monkeypatch)
     assert main(["gaussian", "--dim", "4", "--kappa", "10", "--theta", "0.5",
                  "--samples", "50", "--seed", "1", "--h-count", "3", flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {flag} must be finite, got {value}" in captured.err
+
+
+@pytest.mark.parametrize("source", ["1,2,3", "1", "nan,1", "1,inf"])
+def test_cli_contour_rejects_bad_source_before_any_work(capsys, monkeypatch, source):
+    _forbid_work(monkeypatch)
+    assert main(_WRITING_ARGV["contour"] + ["--source", source]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: source must be two finite numbers x,y, got (" in captured.err
+    with pytest.raises(ValueError, match="source must be two finite numbers"):
+        ExperimentConfig(**_coerce_config_values({"source": source}))
 
 
 def test_import_cli_leaves_scipy_stats_unloaded():

@@ -226,13 +226,13 @@ def _test_pairs():
 
 
 def _gaussian_sweep_pairs(monkeypatch):
-    """(row, chain set, reference set) of every non-diverged row of the d=20,
-    kappa=100 gaussian sweep at 400 samples, seed 1, 6 step sizes."""
+    """(call index, chain set, reference set) of every non-diverged row of the
+    d=20, kappa=100 gaussian sweep at 400 samples, seed 1, 6 step sizes."""
     pairs = []
     real_mmtv = diagnostics.mmtv
 
     def recording_mmtv(p, q):
-        pairs.append((p.label, p, q.samples))
+        pairs.append((len(pairs), p, q.samples))
         return real_mmtv(p, q)
 
     monkeypatch.setattr(diagnostics, "mmtv", recording_mmtv)

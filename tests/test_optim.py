@@ -3,14 +3,14 @@ import pytest
 from scipy.special import expit
 
 from thetalangevin import (NumericalError, SamplerConfig, SolveProblem, iila_step,
-                           newton_solve, subproblem_gradient)
+                           newton_solve, optim)
 from thetalangevin.samplers import explicit_predictor
 
-from oracles import bisect_root, cho_newton_solve, gradient_descent_solve
+from oracles import bisect_root, cho_newton_solve, gradient_descent_solve, subproblem_gradient
 from test_targets import make_logistic
 
 
-def quadratic_problem(dim=6, tol=1e-12, seed=0, **kwargs):
+def quadratic_problem(dim=6, tol=1e-12, seed=0):
     rng = np.random.default_rng(seed)
     basis = rng.standard_normal((dim, dim))
     matrix = basis @ basis.T + dim * np.eye(dim)
@@ -19,7 +19,7 @@ def quadratic_problem(dim=6, tol=1e-12, seed=0, **kwargs):
     return SolveProblem(
         gradient=lambda x: matrix @ (x - center),
         hessian=lambda x: matrix,
-        x0=rng.standard_normal(dim), tol=tol, **kwargs,
+        x0=rng.standard_normal(dim), tol=tol,
     ), center, (eigs[0], eigs[-1])
 
 
@@ -96,8 +96,9 @@ def test_gradient_norm_contract_audited():
         assert np.linalg.norm(problem.gradient(result.x)) <= 1e-6
 
 
-def test_iteration_cap_reports_nonconvergence():
-    problem, _, _ = quadratic_problem(dim=8, tol=1e-14, seed=2, max_iter=0)
+def test_iteration_cap_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(optim, "NEWTON_ITER_CAP", 0)
+    problem, _, _ = quadratic_problem(dim=8, tol=1e-14, seed=2)
     result = newton_solve(problem)
     assert not result.converged
     assert result.iterations == 0
@@ -105,26 +106,31 @@ def test_iteration_cap_reports_nonconvergence():
 
 def test_gradient_descent_cap():
     grad, hess = logistic_subproblem()
-    problem = SolveProblem(gradient=grad, hessian=hess,
-                           x0=np.array([50.0]), tol=1e-14, max_iter=2)
-    result = gradient_descent_solve(problem, 2.0, 10.0)
+    problem = SolveProblem(gradient=grad, hessian=hess, x0=np.array([50.0]), tol=1e-14)
+    result = gradient_descent_solve(problem, 2.0, 10.0, cap=2)
     assert not result.converged
 
 
-def test_newton_gradient_norm_monotone_along_accepted_steps():
+def test_newton_gradient_norm_monotone_along_accepted_steps(monkeypatch):
     grad, hess = logistic_subproblem(theta=1.0, h=5.0, v=3.0)
+    problem = SolveProblem(gradient=grad, hessian=hess, x0=np.array([-8.0]), tol=1e-13)
     norms = []
     for cap in range(6):
-        problem = SolveProblem(gradient=grad, hessian=hess,
-                               x0=np.array([-8.0]), tol=1e-13, max_iter=cap)
+        monkeypatch.setattr(optim, "NEWTON_ITER_CAP", cap)
         norms.append(newton_solve(problem).grad_norm)
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
 
 
-def test_problem_validation():
-    with pytest.raises(ValueError):
+def test_problem_validation(monkeypatch):
+    with pytest.raises(ValueError, match="tolerance must be non-negative, got -1e-08"):
         SolveProblem(gradient=lambda x: x, hessian=lambda x: np.eye(1),
-                     x0=np.zeros(1), tol=0.0)
+                     x0=np.zeros(1), tol=-1e-8)
+    # tol = 0 asks for an exact zero; the iteration cap still ends the solve.
+    monkeypatch.setattr(optim, "NEWTON_ITER_CAP", 3)
+    grad, hess = logistic_subproblem()
+    result = newton_solve(SolveProblem(gradient=grad, hessian=hess, x0=np.array([5.0]),
+                                       tol=0.0))
+    assert result.iterations <= 3
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])

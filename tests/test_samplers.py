@@ -15,7 +15,6 @@ from thetalangevin import (
     iila_step,
     ila_step_gaussian,
     run_chain,
-    subproblem_gradient,
     transition_log_density,
     ula_step,
 )
@@ -27,7 +26,7 @@ from thetalangevin.targets import TargetDensity
 from thetalangevin.theory import gaussian_stationary_covariance
 
 from oracles import (bisect_root, cho_newton_solve, cholesky_gaussian_step, fd_gradient,
-                     gauss_kronrod)
+                     gauss_kronrod, noise_rows, subproblem_gradient)
 from test_targets import make_logistic
 
 
@@ -40,9 +39,9 @@ def gaussian_1d(lam=1.0):
 def test_noise_stream_deterministic_and_order_free():
     stream = NoiseStream(42, 3)
     again = NoiseStream(42, 3)
-    np.testing.assert_array_equal(stream.vector(7), again.vector(7))
-    np.testing.assert_array_equal(stream.vector(0), again.vector(0))
-    assert not np.array_equal(stream.vector(0), stream.vector(1))
+    np.testing.assert_array_equal(stream.block(1), again.block(1))
+    np.testing.assert_array_equal(stream.block(0), again.block(0))
+    assert not np.array_equal(stream.block(0)[0], stream.block(0)[1])
 
 
 def test_noise_blocks_share_no_draws():
@@ -55,17 +54,9 @@ def test_noise_blocks_share_no_draws():
         assert not np.isin(second, first).any()
 
 
-def test_noise_vector_is_block_row_across_boundaries():
-    stream = NoiseStream(21, 3)
-    blocks = {b: stream.block(b) for b in (0, 1, 2)}
-    # Out of order, so the one-block memo is replaced and revisited.
-    for k in (NOISE_BLOCK - 1, NOISE_BLOCK, 5, 2 * NOISE_BLOCK, 2 * NOISE_BLOCK - 1, 0):
-        np.testing.assert_array_equal(stream.vector(k), blocks[k // NOISE_BLOCK][k % NOISE_BLOCK])
-
-
 def test_noise_blocks_read_only():
     stream = NoiseStream(3, 2)
-    for draws in (stream.block(0), stream.vector(4)):
+    for draws in (stream.block(0), stream.block(3)):
         assert not draws.flags.writeable
         with pytest.raises(ValueError):
             draws[0] = 1.0
@@ -82,7 +73,7 @@ def test_noise_golden_values():
 
 def test_noise_stream_moments():
     stream = NoiseStream(5, 3)
-    draws = np.stack([stream.vector(k) for k in range(20_000)])
+    draws = noise_rows(stream, 20_000)
     np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.025)
     np.testing.assert_allclose(np.cov(draws.T), np.eye(3), atol=0.03)
 
@@ -164,10 +155,10 @@ def test_gaussian_step_matches_cholesky_oracle():
 def cholesky_oracle_chain(target, x0, config):
     """run_chain's loop with the Cholesky oracle step: (samples, diverged)."""
     step = cholesky_gaussian_step(target, config.theta, config.h)
-    noise = NoiseStream(config.seed, target.dim)
+    noise = noise_rows(NoiseStream(config.seed, target.dim), config.n_steps)
     rows = [x0]
     for k in range(config.n_steps):
-        rows.append(step(rows[-1], noise.vector(k)))
+        rows.append(step(rows[-1], noise[k]))
         if not np.isfinite(rows[-1]).all() or np.linalg.norm(rows[-1]) > DIVERGENCE_THRESHOLD:
             return np.array(rows), True
     return np.array(rows), False
@@ -391,14 +382,14 @@ def test_run_chain_matches_manual_step_loop(theta):
     target = make_logistic(n_obs=25, dim=3, seed=13)
     config = SamplerConfig(theta=theta, h=0.02, n_steps=n, seed=33)
     traj = run_chain(target, np.zeros(3), config)
-    stream = NoiseStream(33, 3)
+    noise = noise_rows(NoiseStream(33, 3), n)
     x = np.zeros(3)
     iterations, grad_norms = np.zeros(n, dtype=int), np.zeros(n)
     for k in range(n):
         if theta == 0.0:
-            x = ula_step(target, x, stream.vector(k), 0.02)
+            x = ula_step(target, x, noise[k], 0.02)
         else:
-            x, stats = iila_step(target, x, stream.vector(k), config)
+            x, stats = iila_step(target, x, noise[k], config)
             iterations[k], grad_norms[k] = stats.iterations, stats.grad_norm
         np.testing.assert_array_equal(traj.samples[k + 1], x)
     np.testing.assert_array_equal(traj.solver_iterations, iterations)
@@ -409,8 +400,8 @@ def test_run_chain_common_noise_across_grid():
     # With Q = I each step is x_{k+1} = a x_k + b z_k, so every grid chain's
     # noise can be recovered and checked against the shared stream.
     target = GaussianTarget(np.zeros(2), np.eye(2))
-    stream = NoiseStream(77, 2)
     n = NOISE_BLOCK + 5  # crosses a noise block boundary
+    noise = noise_rows(NoiseStream(77, 2), n)
     for theta, h in [(0.0, 0.5), (0.5, 2.0), (1.0, 10.0)]:
         config = SamplerConfig(theta=theta, h=h, n_steps=n, seed=77)
         samples = run_chain(target, np.ones(2), config).samples
@@ -418,7 +409,7 @@ def test_run_chain_common_noise_across_grid():
         b = np.sqrt(h) / (1.0 + 0.5 * h * theta)
         for k in range(n):
             z = (samples[k + 1] - a * samples[k]) / b
-            np.testing.assert_allclose(z, stream.vector(k), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(z, noise[k], rtol=0, atol=1e-12)
 
 
 def test_run_chain_rejects_noise_of_other_dimension():
@@ -488,11 +479,11 @@ def test_newton_from_current_point_beats_predictor_start_at_large_h(theta):
     config = SamplerConfig(theta=theta, h=h, eps=eps, n_steps=40, seed=8)
     traj = run_chain(target, np.zeros(4), config)
     assert not traj.diverged
-    stream = NoiseStream(8, 4)
+    noise = noise_rows(NoiseStream(8, 4), config.n_steps)
     oracle_total = 0
     for k in range(config.n_steps):
         x = traj.samples[k]
-        v = explicit_predictor(target, x, stream.vector(k), theta, h)
+        v = explicit_predictor(target, x, noise[k], theta, h)
         oracle = cho_newton_solve(SolveProblem(
             gradient=lambda u: subproblem_gradient(target, u, v, theta, h),
             hessian=lambda u: theta * target.hessian(u) + (2.0 / h) * np.eye(4),
@@ -508,13 +499,11 @@ def test_exactness_equivalence_chain():
     # Inexact implicit chain tracks the closed form under shared noise.
     target = GaussianTarget.from_covariance(
         np.zeros(5), np.diag([1.0, 0.5, 0.25, 0.1, 0.01]))
-    stream = NoiseStream(11, 5)
     config = SamplerConfig(theta=0.75, h=1.0, eps=1e-10, n_steps=1, seed=11)
     x_exact = np.zeros(5)
     x_newton = np.zeros(5)
     worst = 0.0
-    for k in range(100):
-        z = stream.vector(k)
+    for z in noise_rows(NoiseStream(11, 5), 100):
         x_exact = ila_step_gaussian(target, x_exact, z, 0.75, 1.0)
         x_newton, stats = iila_step(target, x_newton, z, config)
         assert stats.converged
@@ -566,7 +555,10 @@ def test_config_validation():
     (0.5, -1.0, r"step size must be positive, got -1\.0"),
     (0.5, 0.0, r"step size must be positive, got 0\.0"),
     (0.5, math.inf, r"step size must be finite, got inf"),
-], ids=["theta-above-one", "theta-below-zero", "h-negative", "h-zero", "h-infinite"])
+    (0.5, math.nan, r"step size must be positive, got nan"),
+    (math.nan, 1.0, r"theta must lie in \[0, 1\], got nan"),
+], ids=["theta-above-one", "theta-below-zero", "h-negative", "h-zero", "h-infinite", "h-nan",
+        "theta-nan"])
 def test_step_functions_reject_theta_and_h_like_config(theta, h, message):
     target = gaussian_1d()
     x, z = np.array([0.3]), np.array([-0.2])
@@ -574,7 +566,6 @@ def test_step_functions_reject_theta_and_h_like_config(theta, h, message):
         lambda: SamplerConfig(theta=theta, h=h),
         lambda: ila_step_gaussian(target, x, z, theta, h),
         lambda: explicit_predictor(target, x, z, theta, h),
-        lambda: subproblem_gradient(target, x, z, theta, h),
         lambda: transition_log_density(target, x, z, theta, h),
     ]
     if theta == 0.5:
@@ -582,6 +573,29 @@ def test_step_functions_reject_theta_and_h_like_config(theta, h, message):
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_step_functions_accept_large_finite_points_and_reject_non_finite():
+    # [1e200] squares to inf, so a check through x @ x would refuse it or warn.
+    target = gaussian_1d()
+    big, z = np.array([1e200]), np.array([-0.2])
+    np.testing.assert_array_equal(ula_step(target, big, z, 1.0), 0.5 * big + z)
+    for x in (big, z):
+        assert np.isfinite(ila_step_gaussian(target, x, z, 0.5, 1.0)).all()
+        assert np.isfinite(explicit_predictor(target, x, z, 0.5, 1.0)).all()
+        np.testing.assert_array_equal(target.gradient(x), x)
+    for bad in (np.array([math.nan]), np.array([math.inf])):
+        calls = [
+            lambda: ila_step_gaussian(target, bad, z, 0.5, 1.0),
+            lambda: ila_step_gaussian(target, z, bad, 0.5, 1.0),
+            lambda: explicit_predictor(target, bad, z, 0.5, 1.0),
+            lambda: ula_step(target, z, bad, 1.0),
+            lambda: transition_log_density(target, bad, z, 0.5, 1.0),
+            lambda: target.gradient(bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="input point contains non-finite entries"):
+                call()
 
 
 def test_stability_warning_only_in_unstable_regime():

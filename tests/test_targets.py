@@ -6,6 +6,7 @@ import pytest
 from thetalangevin import (
     GaussianTarget,
     LogisticRegressionTarget,
+    ila_step_gaussian,
     load_dataset,
     mode,
     standardize_design,
@@ -131,6 +132,31 @@ def test_targets_copy_caller_arrays():
     assert design.flags.writeable and labels.flags.writeable
     for arr in (gaussian.mean, gaussian.precision, logistic.design, logistic.labels):
         assert not arr.flags.writeable
+
+
+def test_targets_refuse_setting_and_deleting_attributes():
+    # Rebinding mean once changed the gradient while the memoized closed-form
+    # step kept the old mean; rebinding prior_precision moved the Hessian but
+    # not convexity_bounds().
+    gaussian = GaussianTarget(np.zeros(2), np.eye(2))
+    x, z = np.ones(2), np.zeros(2)
+    step = ila_step_gaussian(gaussian, x, z, 0.5, 1.0)
+    with pytest.raises(AttributeError, match="GaussianTarget is immutable"):
+        gaussian.mean = np.full(2, 5.0)
+    logistic = make_logistic(seed=4)
+    bounds, hess = logistic.convexity_bounds(), logistic.hessian(np.ones(logistic.dim))
+    with pytest.raises(AttributeError, match="LogisticRegressionTarget is immutable"):
+        logistic.prior_precision = 10.0
+    for target in (gaussian, logistic):
+        for name in list(vars(target)) + ["new_attribute"]:
+            with pytest.raises(AttributeError):
+                setattr(target, name, None)
+            with pytest.raises(AttributeError):
+                delattr(target, name)
+    np.testing.assert_array_equal(gaussian.gradient(x), x)
+    np.testing.assert_array_equal(ila_step_gaussian(gaussian, x, z, 0.5, 1.0), step)
+    assert logistic.convexity_bounds() == bounds
+    np.testing.assert_array_equal(logistic.hessian(np.ones(logistic.dim)), hess)
 
 
 def test_gaussian_bounds_identity():
