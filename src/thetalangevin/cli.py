@@ -88,6 +88,10 @@ class ExperimentConfig:
         for flag, value in (("--h-min", self.h_min), ("--h-max", self.h_max)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value}")
+        if self.grid_count < 2:
+            raise ValueError(f"--grid-count must be >= 2, got {self.grid_count}")
+        if self.span is not None and not 0 < self.span < math.inf:
+            raise ValueError(f"--span must be positive and finite, got {self.span}")
         if self.source is not None and not (
                 len(self.source) == 2 and all(map(math.isfinite, self.source))):
             raise ValueError(f"source must be two finite numbers x,y, got {self.source}")
@@ -156,8 +160,11 @@ def _grid_row(target, config: ExperimentConfig, theta: float, h: float,
     if trajectory.diverged:
         return GridRow(theta=theta, h=h, mmtv=math.nan, mmd2=math.nan, diverged=True)
     sample_set = SampleSet(trajectory.samples[config.burn_in + thin::thin])
-    mmtv_val = diagnostics.mmtv(sample_set, reference) if compute_mmtv else math.nan
-    mmd_val = diagnostics.mmd2(sample_set, reference)
+    try:
+        mmtv_val = diagnostics.mmtv(sample_set, reference) if compute_mmtv else math.nan
+        mmd_val = diagnostics.mmd2(sample_set, reference)
+    except ValueError as exc:
+        raise ValueError(f"diagnostics failed at theta={theta}, h={h}: {exc}") from exc
     return GridRow(theta=theta, h=h, mmtv=mmtv_val, mmd2=mmd_val, diverged=False)
 
 

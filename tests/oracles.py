@@ -7,8 +7,10 @@ iteration through scipy's checked Cholesky wrappers, the implicit-step
 subproblem gradient from the public target gradient, plain dense algebra for
 spectra, a Cholesky solve for the closed-form Gaussian step, and adaptive 7/15
 Gauss-Kronrod quadrature of pointwise kernel density estimates for the
-marginal total variation, and scipy's own random correlation matrices. The
-helper noise_rows reads a noise stream step by step, through its blocks.
+marginal total variation, the same binned-KDE total variation one coordinate
+at a time, the median bandwidth over the full pair-distance matrix, and
+scipy's own random correlation matrices. The helper noise_rows reads a noise
+stream step by step, through its blocks.
 """
 
 import heapq
@@ -16,10 +18,13 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import ndtr
 from scipy.stats import random_correlation
 
 from thetalangevin import NumericalError, SolveProblem, SolveResult
-from thetalangevin.diagnostics import silverman_bandwidth
+from thetalangevin.diagnostics import (MEDIAN_SUBSAMPLE_CAP, _GRID_POINTS_PER_BANDWIDTH,
+                                       _KDE_TAIL_BANDWIDTHS, _MAX_GRID_POINTS, _SIGN_FLOOR,
+                                       silverman_bandwidth)
 from thetalangevin.matrixgen import rescale_to_trace
 from thetalangevin.optim import (NEWTON_ITER_CAP, _ARMIJO_FACTOR, _BACKTRACK_RATIO,
                                  _MAX_BACKTRACKS)
@@ -322,3 +327,64 @@ def gauss_kronrod_marginal_tv(p_col: np.ndarray, q_col: np.ndarray,
     return 0.5 * integral
 
 
+
+
+def median_bandwidth_formula(q, seed: int = 0) -> float:
+    """diagnostics.median_bandwidth through the full N x N squared-distance
+    matrix, its upper-triangle index arrays and np.median of every distance."""
+    points = q.points
+    if points.shape[0] > MEDIAN_SUBSAMPLE_CAP:
+        rng = np.random.default_rng((int(seed), points.shape[0]))
+        idx = rng.choice(points.shape[0], size=MEDIAN_SUBSAMPLE_CAP, replace=False)
+        points = points[np.sort(idx)]
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (points @ points.T)
+    np.maximum(sq, 0.0, out=sq)
+    pair_sq = sq[np.triu_indices_from(sq, k=1)]
+    return math.sqrt(float(np.median(np.sqrt(pair_sq))) / 2.0)
+
+
+def _binned_kde_spectrum(samples, bandwidth, lo, dx, n_fft):
+    t = (samples - lo) / dx
+    j = np.floor(t).astype(np.intp)
+    w = t - j
+    counts = (np.bincount(j, weights=1.0 - w, minlength=n_fft)
+              + np.bincount(j + 1, weights=w, minlength=n_fft))
+    freq = np.fft.rfftfreq(n_fft, d=dx)
+    kernel = np.exp(-0.5 * (2.0 * math.pi * bandwidth * freq) ** 2)
+    return np.fft.rfft(counts) * kernel / (samples.size * dx)
+
+
+def _kde_cdf(samples, bandwidth, x):
+    return ndtr((x[:, None] - samples[None, :]) / bandwidth).mean(axis=1)
+
+
+def marginal_tv(p_col: np.ndarray, q_col: np.ndarray, bw_p: float, bw_q: float) -> float:
+    """The binned-KDE total variation of diagnostics.mmtv for one coordinate,
+    with its own linspace grid, 1-d FFTs and one KDE distribution-function
+    matrix per sample."""
+    lo = min(p_col.min() - _KDE_TAIL_BANDWIDTHS * bw_p, q_col.min() - _KDE_TAIL_BANDWIDTHS * bw_q)
+    hi = max(p_col.max() + _KDE_TAIL_BANDWIDTHS * bw_p, q_col.max() + _KDE_TAIL_BANDWIDTHS * bw_q)
+    bw_min = min(bw_p, bw_q)
+    steps = min(math.ceil((hi - lo) * _GRID_POINTS_PER_BANDWIDTH / bw_min), _MAX_GRID_POINTS)
+    grid, dx = np.linspace(lo, hi, steps + 1, retstep=True)
+    n_fft = 1 << (2 * grid.size - 1).bit_length()
+    diff = np.fft.irfft(_binned_kde_spectrum(p_col, bw_p, lo, dx, n_fft)
+                        - _binned_kde_spectrum(q_col, bw_q, lo, dx, n_fft), n_fft)[:grid.size]
+    signs = np.sign(diff)
+    signs[np.abs(diff) <= _SIGN_FLOOR / (bw_min * math.sqrt(2.0 * math.pi))] = 0.0
+    nonzero = np.flatnonzero(signs)
+    flips = signs[nonzero[1:]] != signs[nonzero[:-1]]
+    left, right = nonzero[:-1][flips], nonzero[1:][flips]
+    d_left, d_right = diff[left], diff[right]
+    crossings = grid[left] + (grid[right] - grid[left]) * (d_left / (d_left - d_right))
+    cuts = np.concatenate(([lo], crossings, [hi]))
+    cdf_diff = _kde_cdf(p_col, bw_p, cuts) - _kde_cdf(q_col, bw_q, cuts)
+    return 0.5 * math.fsum(np.abs(np.diff(cdf_diff)))
+
+
+def per_coordinate_mmtv(p, q) -> float:
+    """mmtv(p, q) for two SampleSets, one marginal_tv call per coordinate."""
+    bw_p, bw_q = silverman_bandwidth(p.points), silverman_bandwidth(q.points)
+    return math.fsum(marginal_tv(p.points[:, i], q.points[:, i], bw_p[i], bw_q[i])
+                     for i in range(p.dim)) / p.dim

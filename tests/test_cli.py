@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from thetalangevin import (
+    DegenerateBandwidthError,
     LogisticRegressionTarget,
     SampleSet,
     SamplerConfig,
     StabilityWarning,
+    Trajectory,
+    diagnostics,
     mmtv,
     run_chain,
     step_size_heuristic,
@@ -623,6 +626,85 @@ def test_cli_contour_rejects_bad_source_before_any_work(capsys, monkeypatch, sou
     assert "error: source must be two finite numbers x,y, got (" in captured.err
     with pytest.raises(ValueError, match="source must be two finite numbers"):
         ExperimentConfig(**_coerce_config_values({"source": source}))
+
+
+@pytest.mark.parametrize("flag, value, bound", [
+    ("--grid-count", "-1", ">= 2"),
+    ("--grid-count", "0", ">= 2"),
+    ("--grid-count", "1", ">= 2"),
+    ("--span", "nan", "positive and finite"),
+    ("--span", "-3", "positive and finite"),
+    ("--span", "0", "positive and finite"),
+    ("--span", "inf", "positive and finite"),
+])
+def test_cli_contour_rejects_bad_grid_count_and_span_before_any_work(capsys, monkeypatch,
+                                                                    flag, value, bound):
+    _forbid_work(monkeypatch)
+    assert main(_WRITING_ARGV["contour"] + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} must be {bound}, got {float(value) if flag == '--span' else value}" \
+        in captured.err
+    field = flag[2:].replace("-", "_")
+    with pytest.raises(ValueError, match=f"{flag} must be {bound}"):
+        ExperimentConfig(**_coerce_config_values({field: value}))
+
+
+def test_cli_diagnostics_error_names_grid_point(capsys, monkeypatch):
+    # A chain whose second coordinate never moves leaves mmtv no bandwidth.
+    def constant_coordinate_chain(target, x0, config, noise=None):
+        samples = np.zeros((config.n_steps + 1, target.dim))
+        samples[:, 0] = np.arange(config.n_steps + 1.0)
+        return Trajectory(samples=samples, solver_iterations=np.zeros(config.n_steps, int),
+                          grad_norms=np.zeros(config.n_steps))
+
+    monkeypatch.setattr(cli, "run_chain", constant_coordinate_chain)
+    assert main(_WRITING_ARGV["gaussian"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: diagnostics failed at theta=0.5, h=1.0: coordinate 1 of p has zero spread"
+            in captured.err)
+    config = ExperimentConfig(kind="gaussian", dim=4, thetas=(0.5,), h_values=(1.0,),
+                              n_samples=60)
+    with pytest.raises(ValueError, match="diagnostics failed at theta=0.5") as info:
+        run_sweep(config)
+    assert isinstance(info.value.__cause__, DegenerateBandwidthError)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "logistic"])
+def test_cli_empty_h_grid_builds_reference_once_and_runs_no_grid_chain(tmp_path, monkeypatch,
+                                                                      kind):
+    # perfbench times this argv as the sweep's set-up.
+    dataset = tmp_path / "synthetic.csv"
+    write_synthetic_dataset(dataset, n_obs=30, dim=2, seed=1)
+    extra = (["--dataset", str(dataset), "--ref-thin", "2"] if kind == "logistic"
+             else ["--dim", "4", "--kappa", "10"])
+    calls = {"reference": 0, "chain": 0}
+    real_from_samples = diagnostics.Reference.from_samples.__func__
+    real_run_chain = cli.run_chain
+
+    def counting_from_samples(cls, q, seed=0):
+        calls["reference"] += 1
+        return real_from_samples(cls, q, seed=seed)
+
+    def counting_run_chain(*args, **kwargs):
+        calls["chain"] += 1
+        return real_run_chain(*args, **kwargs)
+
+    def no_grid_row(*args, **kwargs):
+        raise AssertionError("a grid chain ran with --h-count 0")
+
+    monkeypatch.setattr(diagnostics.Reference, "from_samples",
+                        classmethod(counting_from_samples))
+    monkeypatch.setattr(cli, "run_chain", counting_run_chain)
+    monkeypatch.setattr(cli, "_grid_row", no_grid_row)
+    out = tmp_path / "rows.csv"
+    assert main([kind, "--theta", "0", "--theta", "0.5", "--h-count", "0",
+                 "--samples", "40", "--seed", "2", "--out", str(out)] + extra) == 0
+    assert out.read_text() == "theta,h,mmtv,mmd2,diverged\n"
+    assert calls["reference"] == 1
+    # The logistic reference set is itself a chain; no other chain runs.
+    assert calls["chain"] == (1 if kind == "logistic" else 0)
 
 
 def test_import_cli_leaves_scipy_stats_unloaded():

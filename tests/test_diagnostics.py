@@ -22,6 +22,8 @@ from oracles import (
     gauss_kronrod,
     gauss_kronrod_marginal_tv,
     kde_marginal,
+    median_bandwidth_formula,
+    per_coordinate_mmtv,
 )
 
 
@@ -46,6 +48,15 @@ def test_median_bandwidth_deterministic_with_subsampling():
     rng = np.random.default_rng(0)
     q = as_set(rng.standard_normal((3000, 2)))
     assert median_bandwidth(q, seed=5) == median_bandwidth(q, seed=5)
+
+
+@pytest.mark.parametrize("n", [101, 102, 2500])
+def test_median_bandwidth_matches_full_matrix_formula_bit_for_bit(n):
+    # 5050 (even) and 5151 (odd) pairs, and a set thinned to the cap.
+    rng = np.random.default_rng(n)
+    q = as_set(rng.standard_normal((n, 7)) * rng.uniform(0.1, 3.0, size=7) + 2.0)
+    for seed in (0, 3):
+        assert median_bandwidth(q, seed=seed) == median_bandwidth_formula(q, seed=seed)
 
 
 def test_median_bandwidth_degenerate():
@@ -96,6 +107,52 @@ def test_mean_self_kernel_matches_full_kernel_sum(n):
     sigma = median_bandwidth(q)
     full = diagnostics._kernel_sum(q.points, q.points, sigma) / (n * n)
     assert diagnostics._mean_self_kernel(q, sigma) == pytest.approx(full, rel=1e-12, abs=0)
+
+
+def _direct_kernel_sum(a, b, sigma):
+    a_sq, b_sq = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+    return diagnostics._kernel_block(a, a_sq, b, b_sq, -1.0 / (2.0 * sigma**2))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+def test_folded_kernel_sums_match_direct_blocks(shift):
+    # Both sets span two kernel blocks. Subtracting the shift again is exact
+    # (Sterbenz), so the direct sums see the shifted sets' own differences.
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((1500, 6)) + shift
+    b = 0.8 * rng.standard_normal((1100, 6)) + 0.3 + shift
+    sigma = 1.3
+    direct = _direct_kernel_sum(a - shift, b - shift, sigma)
+    assert diagnostics._kernel_sum(a, b, sigma) == pytest.approx(direct, rel=1e-12, abs=0)
+    self_direct = _direct_kernel_sum(b - shift, b - shift, sigma) / b.shape[0] ** 2
+    assert diagnostics._mean_self_kernel(as_set(b), sigma) == pytest.approx(
+        self_direct, rel=1e-12, abs=0)
+
+
+def test_folded_kernel_sum_falls_back_where_exp_could_overflow(monkeypatch):
+    # At sigma = 1, rows of b lie up to about 90 from its mean, and a.b
+    # passes exp's range of about 709 on the rows of a matched to them. The
+    # first block of a sits near the centre and is folded.
+    rng = np.random.default_rng(13)
+    b = 25.0 * rng.standard_normal((300, 3))
+    a = np.vstack([rng.standard_normal((1024, 3)), b + 0.3 * rng.standard_normal(b.shape)])
+    a_c, b_c = a - b.mean(axis=0), b - b.mean(axis=0)
+    b_max = np.linalg.norm(b_c, axis=1).max()
+    assert np.linalg.norm(a_c[:1024], axis=1).max() * b_max < 700.0
+    assert np.max(a_c[1024:] @ b_c.T) > 709.0
+    blocks = []
+    real_kernel_block = diagnostics._kernel_block
+
+    def recording_kernel_block(*args):
+        blocks.append(args[0].shape[0])
+        return real_kernel_block(*args)
+
+    monkeypatch.setattr(diagnostics, "_kernel_block", recording_kernel_block)
+    folded = diagnostics._kernel_sum(a, b, 1.0)
+    assert blocks == [300]
+    direct = _direct_kernel_sum(a, b, 1.0)
+    assert math.isfinite(folded) and folded > 100.0
+    assert folded == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 def test_mmd_rejects_dimension_mismatch():
@@ -253,6 +310,22 @@ def test_mmtv_matches_gauss_kronrod_oracle(monkeypatch):
             assert fast == pytest.approx(oracle, abs=1e-6), (label, i)
             worst = max(worst, abs(fast - oracle))
     print(f"worst |mmtv - Gauss-Kronrod| per coordinate over {len(pairs)} pairs: {worst:.2e}")
+
+
+def test_mmtv_matches_per_coordinate_oracle_bit_for_bit(monkeypatch):
+    pairs = _gaussian_sweep_pairs(monkeypatch) + _test_pairs()
+    batches = []
+    real_crossings = diagnostics._crossings
+
+    def recording_crossings(p, *args):
+        batches.append(p.shape[1])
+        return real_crossings(p, *args)
+
+    monkeypatch.setattr(diagnostics, "_crossings", recording_crossings)
+    for label, p, q in pairs:
+        assert mmtv(p, q) == per_coordinate_mmtv(p, q), label
+    # Some calls transformed several coordinates together.
+    assert max(batches) > 1
 
 
 @pytest.mark.parametrize("spread", [1e2, 1e3])
