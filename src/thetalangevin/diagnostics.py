@@ -1,15 +1,31 @@
 """Discrepancy measures between sample sets.
 
-Mean marginal total variation (MMTV): per coordinate, the two Gaussian kernel
-density estimates are linearly binned and FFT-convolved onto one shared grid
-(Silverman 1982; Wand 1994). The grid only locates the sign changes of their
-difference; the total variation itself comes exactly from the difference of
-the two KDE distribution functions between consecutive sign changes, so an
-error in a crossing's position changes it only to second order. Coordinates
-whose grids share an FFT length are binned, transformed (one 2-D rfft/irfft
-along the grid axis) and scanned for sign changes together, in batches of no
-more grid points than the longest grid; the distribution functions at every
-coordinate's crossings are then evaluated together, in cache-sized chunks.
+Mean marginal total variation (MMTV): per coordinate, each Gaussian kernel
+density estimate is linearly binned and FFT-convolved on its own grid
+(Silverman 1982; Wand 1994), at 16 to 32 points per its own bandwidth. The
+grids only locate the sign changes of the difference of the two KDEs; the
+total variation itself comes exactly from the difference of the two KDE
+distribution functions between consecutive cuts, so an error in a
+crossing's position changes it only to second order. A KDE is below the
+sign floor (the level under which a difference counts as zero) beyond its
+reach, sqrt(2 ln(1 / floor)) bandwidths past its sample range; outside the
+window where both KDEs reach, every point above the floor therefore has the
+sign of the one KDE that reaches there. Sign changes are searched only in
+that window, at a spacing of the smaller bandwidth / 16. The narrower KDE's
+grid holds the search points; a KDE with a bandwidth 2^k times as wide
+(k >= 1) has a grid of spacing 2^k times as large and is brought onto them
+by 4-point Lagrange interpolation. With both bandwidths within a factor of
+two, both KDEs share one grid and their difference is transformed once. A
+window end is a cut too where the sign beyond it differs from the nearest
+one inside, and with no such sign inside, where the signs beyond the two
+ends differ: this cuts the gap between two KDEs whose reaches are disjoint.
+A grid's length depends on the ranges and bandwidths of the KDEs it holds,
+not on the ratio of the two bandwidths or the distance between the sets.
+Coordinates whose grids share FFT lengths are binned, transformed (one 2-D
+rfft/irfft along the grid axis) and searched together, in batches of no more
+grid points than the longest grid; the distribution functions at every
+coordinate's cuts are then evaluated together, in cache-sized chunks, from
+column-major copies of the sets.
 
 Maximum mean discrepancy (MMD): Gaussian-kernel V-statistic (Gretton et al.
 2012) with the median pairwise distance setting the bandwidth. Kernel sums are
@@ -40,12 +56,14 @@ _KERNEL_BLOCK = 1024
 _FOLD_EXP_LIMIT = 700.0
 # KDE support: each sample range widened by this many bandwidths per side.
 _KDE_TAIL_BANDWIDTHS = 4.0
-# Grid spacing is the smaller bandwidth over this; the grid length is capped.
+# Sign changes are searched at spacing smaller bandwidth over this.
 _GRID_POINTS_PER_BANDWIDTH = 16
-_MAX_GRID_POINTS = 1 << 18
 # Grid differences below this fraction of phi(0) / (smaller bandwidth), a bound
 # on both KDEs, count as zero, so FFT rounding in the tails adds no sign changes.
 _SIGN_FLOOR = 1e-13
+# A Gaussian kernel term is below _SIGN_FLOOR phi(0) / bandwidth at more than
+# this many bandwidths from its sample.
+_KDE_REACH_BANDWIDTHS = math.sqrt(2.0 * math.log(1.0 / _SIGN_FLOOR))
 # mmtv evaluates KDE distribution functions this many kernel terms at a time
 # (one cut point's N terms at least), a block that stays in L1 cache.
 _CDF_CHUNK = 1 << 11
@@ -221,35 +239,40 @@ class Reference:
         return cls(q, bandwidths, sigma, _mean_self_kernel(q, sigma))
 
 
-def _bin_counts(samples: np.ndarray, lo: np.ndarray, dx: np.ndarray, n_fft: int) -> np.ndarray:
-    """Linear binning of each column of samples onto its grid lo + j dx, one
-    row of n_fft bins per column: one bincount per side of the bins, over all
-    columns at once."""
+def _bin_counts(samples: np.ndarray, lo: np.ndarray, dx: np.ndarray, first: np.ndarray,
+                n_fft: int) -> np.ndarray:
+    """Linear binning of each column of samples onto its grid
+    lo + (first + j) dx, one row of n_fft bins per column: one bincount per
+    side of the bins, over all columns at once."""
     k = samples.shape[1]
     t = samples - lo
     t /= dx
     j = t.astype(np.intp)  # floor: t > 0
     t -= j
-    j += np.arange(k) * n_fft
-    counts = np.bincount(j.ravel(), weights=(1.0 - t).ravel(), minlength=k * n_fft)
+    j += np.arange(k) * n_fft - first
+    # Flattened in memory order, row- or column-major: either way each bin
+    # sums its column's samples in sample order.
+    counts = np.bincount(j.ravel("K"), weights=(1.0 - t).ravel("K"), minlength=k * n_fft)
     j += 1
-    counts += np.bincount(j.ravel(), weights=t.ravel(), minlength=k * n_fft)
+    counts += np.bincount(j.ravel("K"), weights=t.ravel("K"), minlength=k * n_fft)
     return counts.reshape(k, n_fft)
 
 
-def _binned_kde_spectra(samples: np.ndarray, bandwidths: np.ndarray, lo: np.ndarray,
-                        dx: np.ndarray, freq: np.ndarray) -> np.ndarray:
-    """Real FFTs, one row per column of samples, of KDEs on the grids
-    lo + j dx, at the frequencies freq: the binned counts times the Fourier
-    transform of the Gaussian kernel, scaled to a density."""
-    n_fft = 2 * (freq.shape[1] - 1)
-    spectra = np.fft.rfft(_bin_counts(samples, lo, dx, n_fft), axis=1)
-    # Past the first `live` frequencies every kernel value is exactly 0, so
-    # exp runs on those only and the rest of each spectrum is zeroed; only
-    # the signs of zeros can differ from the full product.
-    live = min(freq.shape[1],
-               int(_EXP_UNDERFLOW / (2.0 * math.pi * (bandwidths * freq[:, 1]).min())) + 2)
-    kernel = (2.0 * math.pi * bandwidths)[:, None] * freq[:, :live]
+def _binned_kde_spectra(samples: np.ndarray, bandwidths: np.ndarray, grid: np.ndarray,
+                        lo: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Real FFTs, one row per column of samples, of its KDE on its grid (an
+    _own_grids column; the batch shares one n_fft): the binned counts times
+    the Fourier transform of the Gaussian kernel, scaled to a density."""
+    n_fft = int(grid[2, 0])
+    spacing = np.ldexp(dx, grid[0])
+    spectra = np.fft.rfft(_bin_counts(samples, lo, spacing, grid[1], n_fft), axis=1)
+    # Frequencies are i df. Past the first `live` ones every kernel value is
+    # exactly 0, so exp runs on those only and the rest of each spectrum is
+    # zeroed; only the signs of zeros can differ from the full product.
+    df = 1.0 / (n_fft * spacing)
+    live = min(n_fft // 2 + 1,
+               int(_EXP_UNDERFLOW / (2.0 * math.pi * (bandwidths * df).min())) + 2)
+    kernel = (2.0 * math.pi * bandwidths)[:, None] * (np.arange(live) * df[:, None])
     kernel *= kernel
     kernel *= -0.5
     np.exp(kernel, out=kernel)
@@ -259,35 +282,82 @@ def _binned_kde_spectra(samples: np.ndarray, bandwidths: np.ndarray, lo: np.ndar
     parts[:, 2 * live:] = 0.0
     parts = parts[:, :2 * live]
     parts *= np.repeat(kernel, 2, axis=1)
-    parts *= (1.0 / (samples.shape[0] * dx))[:, None]
+    parts *= (1.0 / (samples.shape[0] * spacing))[:, None]
     return spectra
 
 
+def _own_grids(reach_lo: np.ndarray, reach_hi: np.ndarray, bandwidths: np.ndarray,
+               dx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per coordinate, the grid a KDE is binned on, as rows k, first and last:
+    the points lo + i dx 2^k, i = first, ..., last, where
+    2^k <= bandwidth / (dx _GRID_POINTS_PER_BANDWIDTH) < 2^(k+1), so there
+    are 16 to 32 points per bandwidth. They span the KDE's reach clipped to
+    [lo, hi], and one point more on the left and two on the right, so that
+    4-point interpolation at any search point in the reach stays on the
+    grid."""
+    k = np.frexp(bandwidths / (dx * _GRID_POINTS_PER_BANDWIDTH))[1] - 1
+    spacing = np.ldexp(dx, k)
+    first = np.floor((np.maximum(reach_lo, lo) - lo) / spacing) - 1
+    last = np.floor((np.minimum(reach_hi, hi) - lo) / spacing) + 2
+    return np.stack([k, first, last]).astype(np.intp)
+
+
+def _search_values(values: np.ndarray, grid: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Values on grids (one row per column; rows k and first of an _own_grids
+    column) at the search points lo + j dx, one row of j per column: read off
+    where k = 0 in every column, else by 4-point Lagrange interpolation
+    between the grid points around each, whose weights are 0, 1, 0, 0 where
+    j is a multiple of 2^k."""
+    k = grid[0][:, None]
+    i = (j >> k) + (np.arange(j.shape[0]) * values.shape[1] - grid[1])[:, None]
+    values = values.ravel()
+    if not k.any():
+        return values[i]
+    t = (j & ((1 << k) - 1)) / (1 << k)
+    return (-t * (t - 1.0) * (t - 2.0) / 6.0 * values[i - 1]
+            + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * values[i]
+            + -(t + 1.0) * t * (t - 2.0) / 2.0 * values[i + 1]
+            + (t + 1.0) * t * (t - 1.0) / 6.0 * values[i + 2])
+
+
 def _crossings(p: np.ndarray, q: np.ndarray, bw_p: np.ndarray, bw_q: np.ndarray,
-               lo: np.ndarray, hi: np.ndarray, steps: np.ndarray, n_fft: int) -> tuple:
+               grid_p: np.ndarray, grid_q: np.ndarray, search: np.ndarray, lo: np.ndarray,
+               dx: np.ndarray) -> tuple:
     """Sign changes of the difference between the KDEs of matching columns of
-    p and q on the grids lo + j (hi - lo) / steps, j = 0..steps, which share
-    the FFT length n_fft: their columns and positions, in column and grid
-    order, each interpolated linearly between the grid points around it."""
-    dx = (hi - lo) / steps
-    freq = np.arange(n_fft // 2 + 1) * (1.0 / (n_fft * dx))[:, None]
-    width = int(steps.max()) + 1
-    diff = np.fft.irfft(_binned_kde_spectra(p, bw_p, lo, dx, freq)
-                        - _binned_kde_spectra(q, bw_q, lo, dx, freq), n_fft, axis=1)[:, :width]
+    p and q at their search points lo + j dx, j = first, ..., first + count - 1
+    (the rows of search): their columns and positions, in column and grid
+    order, each interpolated linearly between the kept points around it; and
+    the signs of each column's first and last kept points (0 if it has none),
+    as two rows. Each side's grids (_own_grids columns) share one n_fft;
+    where k = 0 on both sides, the two sides share their grids, and the
+    difference of their spectra is transformed once."""
+    first, count = search
+    width = int(count.max())
+    # Past its count a row repeats its last point; those points are masked.
+    pos = np.minimum(np.arange(width), (count - 1)[:, None])
+    j = first[:, None] + pos
+    spectra = _binned_kde_spectra(p, bw_p, grid_p, lo, dx)
+    if grid_p[0].any() or grid_q[0].any():
+        diff = _search_values(np.fft.irfft(spectra, int(grid_p[2, 0]), axis=1), grid_p, j)
+        spectra = _binned_kde_spectra(q, bw_q, grid_q, lo, dx)
+        diff -= _search_values(np.fft.irfft(spectra, int(grid_q[2, 0]), axis=1), grid_q, j)
+    else:
+        spectra -= _binned_kde_spectra(q, bw_q, grid_q, lo, dx)
+        diff = _search_values(np.fft.irfft(spectra, int(grid_p[2, 0]), axis=1), grid_p, j)
     floor = _SIGN_FLOOR / (np.minimum(bw_p, bw_q) * math.sqrt(2.0 * math.pi))
     kept = np.abs(diff) > floor[:, None]
-    kept &= np.arange(width) <= steps[:, None]
+    kept &= pos == np.arange(width)
+    ends = [kept.argmax(axis=1), width - 1 - kept[:, ::-1].argmax(axis=1)]
+    end_signs = np.sign(diff[np.arange(first.size), ends]) * kept.any(axis=1)
     at, values = np.flatnonzero(kept), diff[kept]
-    flips = (((values[:-1] > 0) != (values[1:] > 0))
-             & (at[:-1] // width == at[1:] // width))
-    cols, left = np.divmod(at[:-1][flips], width)
-    right = at[1:][flips] % width
+    rows = at // width
+    flips = ((values[:-1] > 0) != (values[1:] > 0)) & (rows[:-1] == rows[1:])
+    cols = rows[:-1][flips]
+    j = j.ravel()
+    g_left = j[at[:-1][flips]] * dx[cols] + lo[cols]
+    g_right = j[at[1:][flips]] * dx[cols] + lo[cols]
     d_left, d_right = values[:-1][flips], values[1:][flips]
-    # Grid points as np.linspace gives them: j dx + lo, and hi at j = steps,
-    # which only a right-hand point can reach.
-    g_left = left * dx[cols] + lo[cols]
-    g_right = np.where(right == steps[cols], hi[cols], right * dx[cols] + lo[cols])
-    return cols, g_left + (g_right - g_left) * (d_left / (d_left - d_right))
+    return cols, g_left + (g_right - g_left) * (d_left / (d_left - d_right)), end_signs
 
 
 def _kde_cdfs(samples: np.ndarray, bandwidths: np.ndarray, x: np.ndarray,
@@ -312,9 +382,12 @@ def mmtv(p: SampleSet, q) -> float:
     """Mean over coordinates of the total variation between marginal KDEs.
 
     q is a SampleSet or a Reference; Silverman bandwidths of a Reference are
-    reused. Symmetric: mmtv(p, q) == mmtv(q, p) exactly. Each coordinate's
-    grid spans the union of both sample ranges, each widened by four
-    bandwidths, at _GRID_POINTS_PER_BANDWIDTH points per smaller bandwidth.
+    reused. Symmetric: mmtv(p, q) == mmtv(q, p) exactly. Per coordinate, the
+    total variation is taken over [lo, hi], the union of both sample ranges,
+    each widened by four bandwidths, with cuts at lo, the sign changes of the
+    difference of the KDEs (searched on the grid lo + j dx, dx the smaller
+    bandwidth / _GRID_POINTS_PER_BANDWIDTH, where both KDEs reach), the ends
+    of that window where a sign change lies beyond them, and hi.
     """
     if isinstance(q, Reference):
         q, bw_q = q.samples, q.bandwidths
@@ -327,41 +400,79 @@ def mmtv(p: SampleSet, q) -> float:
         if not np.all(bws > 0):
             raise DegenerateBandwidthError(
                 f"coordinate {int(np.argmin(bws > 0))} of {name} has zero spread")
-    p, q = p.points, q.points
-    lo = np.minimum(p.min(axis=0) - _KDE_TAIL_BANDWIDTHS * bw_p,
-                    q.min(axis=0) - _KDE_TAIL_BANDWIDTHS * bw_q)
-    hi = np.maximum(p.max(axis=0) + _KDE_TAIL_BANDWIDTHS * bw_p,
-                    q.max(axis=0) + _KDE_TAIL_BANDWIDTHS * bw_q)
-    steps = np.minimum(np.ceil((hi - lo) * _GRID_POINTS_PER_BANDWIDTH / np.minimum(bw_p, bw_q)),
-                       _MAX_GRID_POINTS).astype(np.intp)
-    # Twice the grid length keeps the FFT's wrap-around beyond every kernel's reach.
-    n_ffts = np.array([1 << (2 * int(s) + 1).bit_length() for s in steps])
-    # Coordinates of one FFT length are transformed together, in batches of
-    # no more grid points than the longest grid, so memory peaks as it would
-    # for that coordinate alone.
-    longest = int(n_ffts.max())
-    order, crossings, counts = [], [], []
-    for n_fft in np.unique(n_ffts).tolist():
-        group = np.flatnonzero(n_ffts == n_fft)
-        batch = longest // n_fft
-        for start in range(0, group.size, batch):
-            c = group[start:start + batch]
-            cols, x = _crossings(p[:, c], q[:, c], bw_p[c], bw_q[c], lo[c], hi[c], steps[c],
-                                 n_fft)
-            order.append(c)
+    # Column-major copies: each coordinate's samples are contiguous, for the
+    # batches and for the distribution functions at each cut.
+    p, q = np.asfortranarray(p.points), np.asfortranarray(q.points)
+    dim = p.shape[1]
+    p_min, p_max, q_min, q_max = p.min(axis=0), p.max(axis=0), q.min(axis=0), q.max(axis=0)
+    lo = np.minimum(p_min - _KDE_TAIL_BANDWIDTHS * bw_p, q_min - _KDE_TAIL_BANDWIDTHS * bw_q)
+    hi = np.maximum(p_max + _KDE_TAIL_BANDWIDTHS * bw_p, q_max + _KDE_TAIL_BANDWIDTHS * bw_q)
+    # Each KDE's reach: beyond it, it is below the sign floor. Outside the
+    # window where both reach, every kept point has the sign of the one KDE
+    # that does.
+    reach_p = p_min - _KDE_REACH_BANDWIDTHS * bw_p, p_max + _KDE_REACH_BANDWIDTHS * bw_p
+    reach_q = q_min - _KDE_REACH_BANDWIDTHS * bw_q, q_max + _KDE_REACH_BANDWIDTHS * bw_q
+    w_lo = np.maximum(np.maximum(reach_p[0], reach_q[0]), lo)
+    w_hi = np.minimum(np.minimum(reach_p[1], reach_q[1]), hi)
+    # That sign beyond each window end that lies inside [lo, hi]; 0 where
+    # neither KDE reaches past it.
+    beyond = np.stack([np.sign(reach_q[0] - reach_p[0]) * (w_lo > lo),
+                       np.sign(reach_p[1] - reach_q[1]) * (w_hi < hi)])
+    dx = np.minimum(bw_p, bw_q) / _GRID_POINTS_PER_BANDWIDTH
+    first = np.ceil((w_lo - lo) / dx)
+    count = np.floor((w_hi - lo) / dx) - first + 1
+    # Only coordinates with search points are binned and transformed; live
+    # lists them, and the arrays below are indexed by position in it.
+    live = np.flatnonzero(count > 0)
+    search = np.stack([first[live], count[live]]).astype(np.intp)
+    grid_p = _own_grids(reach_p[0][live], reach_p[1][live], bw_p[live], dx[live], lo[live],
+                        hi[live])
+    grid_q = _own_grids(reach_q[0][live], reach_q[1][live], bw_q[live], dx[live], lo[live],
+                        hi[live])
+    # With both bandwidths within a factor of two, k = 0 on both sides: the
+    # grids are one lattice, and both sets are binned on its points over both
+    # reaches, so their difference is transformed once.
+    shared = (grid_p[0] == 0) & (grid_q[0] == 0)
+    union = np.stack([grid_p[0], np.minimum(grid_p[1], grid_q[1]),
+                      np.maximum(grid_p[2], grid_q[2])])
+    grid_p, grid_q = np.where(shared, union, grid_p), np.where(shared, union, grid_q)
+    # Row last becomes n_fft: a power of two at least twice the number of
+    # points keeps the FFT's wrap-around beyond every kernel's reach.
+    for grid in (grid_p, grid_q):
+        grid[2] = [1 << (2 * int(n) - 1).bit_length() for n in grid[2] - grid[1] + 1]
+    # Coordinates whose grids share FFT lengths are transformed together, in
+    # batches of no more grid points per side than the longest grid, so
+    # memory peaks as it would for that coordinate alone.
+    lengths = np.maximum(grid_p[2], grid_q[2])
+    groups = {}
+    for at, key in enumerate(zip(grid_p[2].tolist(), grid_q[2].tolist(), shared.tolist())):
+        groups.setdefault(key, []).append(at)
+    cols, crossings = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    inside = np.zeros((2, dim))
+    for group in groups.values():
+        batch = int(lengths.max()) // int(lengths[group[0]])
+        for start in range(0, len(group), batch):
+            at = np.array(group[start:start + batch])
+            c = live[at]
+            batch_cols, x, inside[:, c] = _crossings(p[:, c], q[:, c], bw_p[c], bw_q[c],
+                                                     grid_p[:, at], grid_q[:, at],
+                                                     search[:, at], lo[c], dx[c])
+            cols.append(c[batch_cols])
             crossings.append(x)
-            counts.append(np.bincount(cols, minlength=c.size))
-    # Cut points of each coordinate, in batch order: lo, its crossings, hi.
-    order = np.concatenate(order)
-    sizes = np.concatenate(counts) + 2
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    cuts = np.empty(ends[-1])
-    inner = np.ones(ends[-1], dtype=bool)
-    inner[starts] = inner[ends - 1] = False
-    cuts[starts], cuts[ends - 1], cuts[inner] = lo[order], hi[order], np.concatenate(crossings)
-    cut_cols = np.repeat(order, sizes)
+    # A window end is a cut where the sign beyond it differs from the nearest
+    # kept sign inside; with no kept point inside, the lower end is, where
+    # the signs beyond the two ends differ (this cuts the gap between
+    # disjoint reaches).
+    cut_lo, cut_hi = beyond * np.where(inside != 0, inside, beyond[1]) < 0
+    # Cut points of each coordinate: lo, the window ends that cut, the
+    # crossings between them and hi.
+    coords = np.arange(dim)
+    cut_cols = np.concatenate([coords, coords[cut_lo]] + cols + [coords[cut_hi], coords])
+    cuts = np.concatenate([lo, w_lo[cut_lo]] + crossings + [w_hi[cut_hi], hi])
+    order = np.argsort(cut_cols, kind="stable")
+    cut_cols, cuts = cut_cols[order], cuts[order]
     masses = np.abs(np.diff(_kde_cdfs(p, bw_p, cuts, cut_cols)
                             - _kde_cdfs(q, bw_q, cuts, cut_cols))).tolist()
-    tvs = [0.5 * math.fsum(masses[a:b - 1]) for a, b in zip(starts.tolist(), ends.tolist())]
-    return math.fsum(tvs) / p.shape[1]
+    ends = np.cumsum(np.bincount(cut_cols, minlength=dim)).tolist()
+    tvs = [0.5 * math.fsum(masses[a:b - 1]) for a, b in zip([0] + ends[:-1], ends)]
+    return math.fsum(tvs) / dim

@@ -8,7 +8,8 @@ subproblem gradient from the public target gradient, plain dense algebra for
 spectra, a Cholesky solve for the closed-form Gaussian step, and adaptive 7/15
 Gauss-Kronrod quadrature of pointwise kernel density estimates for the
 marginal total variation, the same binned-KDE total variation one coordinate
-at a time, the median bandwidth over the full pair-distance matrix, and
+at a time, the union-grid binned-KDE total variation that per-set grids
+replaced, the median bandwidth over the full pair-distance matrix, and
 scipy's own random correlation matrices. The helper noise_rows reads a noise
 stream step by step, through its blocks.
 """
@@ -23,7 +24,7 @@ from scipy.stats import random_correlation
 
 from thetalangevin import NumericalError, SolveProblem, SolveResult
 from thetalangevin.diagnostics import (MEDIAN_SUBSAMPLE_CAP, _GRID_POINTS_PER_BANDWIDTH,
-                                       _KDE_TAIL_BANDWIDTHS, _MAX_GRID_POINTS, _SIGN_FLOOR,
+                                       _KDE_REACH_BANDWIDTHS, _KDE_TAIL_BANDWIDTHS, _SIGN_FLOOR,
                                        silverman_bandwidth)
 from thetalangevin.matrixgen import rescale_to_trace
 from thetalangevin.optim import (NEWTON_ITER_CAP, _ARMIJO_FACTOR, _BACKTRACK_RATIO,
@@ -33,6 +34,8 @@ from thetalangevin.samplers import NOISE_BLOCK
 GRADIENT_DESCENT_ITER_CAP = 10_000
 MAX_QUADRATURE_INTERVALS = 1 << 15
 GAUSS_KRONROD_TV_TOL = 1e-8
+# The grid-length cap of the union-grid mmtv.
+UNION_GRID_MAX_POINTS = 1 << 18
 
 
 def fd_gradient(fun, x, step=1e-6):
@@ -344,33 +347,56 @@ def median_bandwidth_formula(q, seed: int = 0) -> float:
     return math.sqrt(float(np.median(np.sqrt(pair_sq))) / 2.0)
 
 
-def _binned_kde_spectrum(samples, bandwidth, lo, dx, n_fft):
-    t = (samples - lo) / dx
+def _binned_kde_spectrum(samples, bandwidth, lo, spacing, first, last):
+    """Real FFT of the KDE of a univariate sample on the grid
+    lo + i spacing, i = first, ..., last: linear binning, a transform of at
+    least twice the grid length and the Gaussian kernel's Fourier
+    transform."""
+    t = (samples - lo) / spacing
     j = np.floor(t).astype(np.intp)
     w = t - j
+    j -= first
+    n_fft = 1 << (2 * (last - first + 1) - 1).bit_length()
     counts = (np.bincount(j, weights=1.0 - w, minlength=n_fft)
               + np.bincount(j + 1, weights=w, minlength=n_fft))
-    freq = np.fft.rfftfreq(n_fft, d=dx)
+    freq = np.fft.rfftfreq(n_fft, d=spacing)
     kernel = np.exp(-0.5 * (2.0 * math.pi * bandwidth * freq) ** 2)
-    return np.fft.rfft(counts) * kernel / (samples.size * dx)
+    return np.fft.rfft(counts) * kernel / (samples.size * spacing)
 
 
 def _kde_cdf(samples, bandwidth, x):
     return ndtr((x[:, None] - samples[None, :]) / bandwidth).mean(axis=1)
 
 
-def marginal_tv(p_col: np.ndarray, q_col: np.ndarray, bw_p: float, bw_q: float) -> float:
-    """The binned-KDE total variation of diagnostics.mmtv for one coordinate,
-    with its own linspace grid, 1-d FFTs and one KDE distribution-function
-    matrix per sample."""
+def _cut_tv(p_col, q_col, bw_p, bw_q, cuts):
+    """Half the sum of |P - Q| over the intervals between consecutive cuts,
+    P and Q the KDE distribution functions."""
+    cdf_diff = _kde_cdf(p_col, bw_p, cuts) - _kde_cdf(q_col, bw_q, cuts)
+    return 0.5 * math.fsum(np.abs(np.diff(cdf_diff)))
+
+
+def _grid_ends(p_col, q_col, bw_p, bw_q):
+    """lo and hi: the union of both sample ranges, each widened by four
+    bandwidths."""
     lo = min(p_col.min() - _KDE_TAIL_BANDWIDTHS * bw_p, q_col.min() - _KDE_TAIL_BANDWIDTHS * bw_q)
     hi = max(p_col.max() + _KDE_TAIL_BANDWIDTHS * bw_p, q_col.max() + _KDE_TAIL_BANDWIDTHS * bw_q)
+    return lo, hi
+
+
+def union_grid_marginal_tv(p_col: np.ndarray, q_col: np.ndarray, bw_p: float,
+                           bw_q: float) -> float:
+    """The binned-KDE total variation of one coordinate as diagnostics.mmtv
+    computed it before per-set grids: both KDEs on one linspace grid from lo
+    to hi at _GRID_POINTS_PER_BANDWIDTH points per smaller bandwidth and at
+    most UNION_GRID_MAX_POINTS points; cuts at lo, at the sign changes of the
+    difference and at hi."""
+    lo, hi = _grid_ends(p_col, q_col, bw_p, bw_q)
     bw_min = min(bw_p, bw_q)
-    steps = min(math.ceil((hi - lo) * _GRID_POINTS_PER_BANDWIDTH / bw_min), _MAX_GRID_POINTS)
+    steps = min(math.ceil((hi - lo) * _GRID_POINTS_PER_BANDWIDTH / bw_min), UNION_GRID_MAX_POINTS)
     grid, dx = np.linspace(lo, hi, steps + 1, retstep=True)
     n_fft = 1 << (2 * grid.size - 1).bit_length()
-    diff = np.fft.irfft(_binned_kde_spectrum(p_col, bw_p, lo, dx, n_fft)
-                        - _binned_kde_spectrum(q_col, bw_q, lo, dx, n_fft), n_fft)[:grid.size]
+    diff = np.fft.irfft(_binned_kde_spectrum(p_col, bw_p, lo, dx, 0, steps)
+                        - _binned_kde_spectrum(q_col, bw_q, lo, dx, 0, steps), n_fft)[:grid.size]
     signs = np.sign(diff)
     signs[np.abs(diff) <= _SIGN_FLOOR / (bw_min * math.sqrt(2.0 * math.pi))] = 0.0
     nonzero = np.flatnonzero(signs)
@@ -378,13 +404,93 @@ def marginal_tv(p_col: np.ndarray, q_col: np.ndarray, bw_p: float, bw_q: float) 
     left, right = nonzero[:-1][flips], nonzero[1:][flips]
     d_left, d_right = diff[left], diff[right]
     crossings = grid[left] + (grid[right] - grid[left]) * (d_left / (d_left - d_right))
-    cuts = np.concatenate(([lo], crossings, [hi]))
-    cdf_diff = _kde_cdf(p_col, bw_p, cuts) - _kde_cdf(q_col, bw_q, cuts)
-    return 0.5 * math.fsum(np.abs(np.diff(cdf_diff)))
+    return _cut_tv(p_col, q_col, bw_p, bw_q, np.concatenate(([lo], crossings, [hi])))
+
+
+def _own_grid(col, bw, bw_min, lo, hi, dx):
+    """k, first and last of the grid lo + i dx 2^k, i = first, ..., last, on
+    which diagnostics.mmtv bins the KDE of col: 2^k <= bw / bw_min < 2^(k+1),
+    over the reach clipped to [lo, hi], one point more on the left and two
+    on the right."""
+    k = math.frexp(bw / bw_min)[1] - 1
+    spacing = math.ldexp(dx, k)
+    first = math.floor((max(col.min() - _KDE_REACH_BANDWIDTHS * bw, lo) - lo) / spacing) - 1
+    last = math.floor((min(col.max() + _KDE_REACH_BANDWIDTHS * bw, hi) - lo) / spacing) + 2
+    return k, first, last
+
+
+def _lagrange(values, k, first, j):
+    """Values on the grid points i = first, ... at the search points
+    j / 2^k, by 4-point Lagrange interpolation through i - 1, ..., i + 2,
+    i = floor(j / 2^k)."""
+    t = (j & ((1 << k) - 1)) / (1 << k)
+    i = (j >> k) - first
+    return (-t * (t - 1.0) * (t - 2.0) / 6.0 * values[i - 1]
+            + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * values[i]
+            + -(t + 1.0) * t * (t - 2.0) / 2.0 * values[i + 1]
+            + (t + 1.0) * t * (t - 1.0) / 6.0 * values[i + 2])
+
+
+def _window_diff(p_col, q_col, bw_p, bw_q, lo, hi, dx, j):
+    """KDE of p_col minus KDE of q_col at the search points lo + j dx. With
+    both bandwidths within a factor of two, both are binned on one grid over
+    both reaches and their difference is transformed once; otherwise each
+    is transformed on its own grid and interpolated."""
+    bw_min = min(bw_p, bw_q)
+    k_p, first_p, last_p = _own_grid(p_col, bw_p, bw_min, lo, hi, dx)
+    k_q, first_q, last_q = _own_grid(q_col, bw_q, bw_min, lo, hi, dx)
+    if k_p == k_q == 0:
+        first, last = min(first_p, first_q), max(last_p, last_q)
+        n_fft = 1 << (2 * (last - first + 1) - 1).bit_length()
+        diff = np.fft.irfft(_binned_kde_spectrum(p_col, bw_p, lo, dx, first, last)
+                            - _binned_kde_spectrum(q_col, bw_q, lo, dx, first, last), n_fft)
+        return diff[j - first]
+    sides = []
+    for col, bw, k, first, last in ((p_col, bw_p, k_p, first_p, last_p),
+                                    (q_col, bw_q, k_q, first_q, last_q)):
+        n_fft = 1 << (2 * (last - first + 1) - 1).bit_length()
+        spacing = math.ldexp(dx, k)
+        values = np.fft.irfft(_binned_kde_spectrum(col, bw, lo, spacing, first, last), n_fft)
+        sides.append(values[j - first] if k == 0 else _lagrange(values, k, first, j))
+    return sides[0] - sides[1]
+
+
+def window_marginal_tv(p_col: np.ndarray, q_col: np.ndarray, bw_p: float, bw_q: float) -> float:
+    """The binned-KDE total variation of one coordinate as diagnostics.mmtv
+    computes it, with 1-d transforms: sign changes searched at spacing
+    smaller bandwidth / _GRID_POINTS_PER_BANDWIDTH from lo, in the window
+    where both KDEs reach past the sign floor; cuts at lo, the crossings, hi,
+    and at a window end where the sign beyond it (that of the one KDE that
+    reaches there) differs from the nearest kept sign inside, or, with no
+    kept point inside, from the sign beyond the other end."""
+    lo, hi = _grid_ends(p_col, q_col, bw_p, bw_q)
+    p_lo, p_hi = p_col.min() - _KDE_REACH_BANDWIDTHS * bw_p, p_col.max() + _KDE_REACH_BANDWIDTHS * bw_p
+    q_lo, q_hi = q_col.min() - _KDE_REACH_BANDWIDTHS * bw_q, q_col.max() + _KDE_REACH_BANDWIDTHS * bw_q
+    w_lo, w_hi = max(p_lo, q_lo, lo), min(p_hi, q_hi, hi)
+    beyond_lo = np.sign(q_lo - p_lo) * (w_lo > lo)
+    beyond_hi = np.sign(p_hi - q_hi) * (w_hi < hi)
+    inside_lo = inside_hi = beyond_hi
+    bw_min = min(bw_p, bw_q)
+    dx = bw_min / _GRID_POINTS_PER_BANDWIDTH
+    crossings = []
+    j = np.arange(math.ceil((w_lo - lo) / dx), math.floor((w_hi - lo) / dx) + 1)
+    if j.size:
+        diff = _window_diff(p_col, q_col, bw_p, bw_q, lo, hi, dx, j)
+        kept = np.abs(diff) > _SIGN_FLOOR / (bw_min * math.sqrt(2.0 * math.pi))
+        at, values = j[kept], diff[kept]
+        if values.size:
+            inside_lo, inside_hi = np.sign(values[0]), np.sign(values[-1])
+        flips = (values[:-1] > 0) != (values[1:] > 0)
+        d_left, d_right = values[:-1][flips], values[1:][flips]
+        g_left, g_right = at[:-1][flips] * dx + lo, at[1:][flips] * dx + lo
+        crossings = list(g_left + (g_right - g_left) * (d_left / (d_left - d_right)))
+    cuts = ([lo] + ([w_lo] if beyond_lo * inside_lo < 0 else []) + crossings
+            + ([w_hi] if beyond_hi * inside_hi < 0 else []) + [hi])
+    return _cut_tv(p_col, q_col, bw_p, bw_q, np.array(cuts))
 
 
 def per_coordinate_mmtv(p, q) -> float:
-    """mmtv(p, q) for two SampleSets, one marginal_tv call per coordinate."""
+    """mmtv(p, q) for two SampleSets, one window_marginal_tv call per coordinate."""
     bw_p, bw_q = silverman_bandwidth(p.points), silverman_bandwidth(q.points)
-    return math.fsum(marginal_tv(p.points[:, i], q.points[:, i], bw_p[i], bw_q[i])
+    return math.fsum(window_marginal_tv(p.points[:, i], q.points[:, i], bw_p[i], bw_q[i])
                      for i in range(p.dim)) / p.dim

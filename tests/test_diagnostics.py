@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from oracles import (
     kde_marginal,
     median_bandwidth_formula,
     per_coordinate_mmtv,
+    union_grid_marginal_tv,
 )
 
 
@@ -328,15 +330,37 @@ def test_mmtv_matches_per_coordinate_oracle_bit_for_bit(monkeypatch):
     assert max(batches) > 1
 
 
-@pytest.mark.parametrize("spread", [1e2, 1e3])
+def test_mmtv_stays_near_union_grid_values(monkeypatch):
+    # Per-set grids move a coordinate's value only through the positions of
+    # its crossings, which enter the total variation to second order.
+    pairs = _gaussian_sweep_pairs(monkeypatch) + _test_pairs()
+    worst = 0.0
+    for label, p, q in pairs:
+        bw_p, bw_q = silverman_bandwidth(p.points), silverman_bandwidth(q.points)
+        for i in range(p.dim):
+            value = mmtv(SampleSet(p.points[:, [i]]), SampleSet(q.points[:, [i]]))
+            old = union_grid_marginal_tv(p.points[:, i], q.points[:, i], bw_p[i], bw_q[i])
+            assert value == pytest.approx(old, abs=1e-7), (label, i)
+            worst = max(worst, abs(value - old))
+    print(f"worst |mmtv - union grid| per coordinate over {len(pairs)} pairs: {worst:.2e}")
+
+
+def _wide_beside_narrow(spread):
+    rng = np.random.default_rng(5)
+    q_col = rng.standard_normal(400)
+    p_col = spread * rng.standard_normal(400)
+    return p_col, q_col
+
+
+@pytest.mark.parametrize("spread", [1e2, 1e3, 1e4, 1e5, 1e6])
 def test_mmtv_wide_set_beside_narrow_set_meets_lower_bound(spread):
     # With [a, b] the narrow set's range widened by four bandwidths,
     # TV >= Q([a, b]) - P([a, b]) = 1 - P([a, b]) - Q(outside [a, b]). At spread
     # 1000, adaptive Gauss-Kronrod over the whole range steps over the narrow
-    # KDE and returns about 0.5.
-    rng = np.random.default_rng(5)
-    q_col = rng.standard_normal(400)
-    p_col = spread * rng.standard_normal(400)
+    # KDE and returns about 0.5. From spread 1e5 a union grid of both sets,
+    # capped at 2^18 points, under-resolves the narrow KDE and falls below
+    # the bound.
+    p_col, q_col = _wide_beside_narrow(spread)
     bw_p, bw_q = silverman_bandwidth(p_col), silverman_bandwidth(q_col)
     a, b = q_col.min() - 4.0 * bw_q, q_col.max() + 4.0 * bw_q
 
@@ -349,9 +373,57 @@ def test_mmtv_wide_set_beside_narrow_set_meets_lower_bound(spread):
     assert lower - 1e-12 <= value <= 1.0
 
 
+@pytest.mark.parametrize("offset", [6.5, 7.0, 7.5])
+def test_mmtv_narrow_set_in_far_tail_of_wide_set(offset):
+    # The narrow set sits `offset` wide bandwidths past the wide set's range:
+    # inside the wide KDE's reach, but where it is below the sign floor. The
+    # one sign change lies between the wide set and the window where both
+    # KDEs reach, so only the cut at the window's lower end separates the
+    # two masses; without it the value is below 1e-6.
+    rng = np.random.default_rng(0)
+    p_col = rng.uniform(-100.0, 0.0, 400)
+    q_col = offset * silverman_bandwidth(p_col) + 0.01 * rng.standard_normal(400)
+    p, q = as_set(p_col[:, None]), as_set(q_col[:, None])
+    value = mmtv(p, q)
+    old = union_grid_marginal_tv(p_col, q_col, silverman_bandwidth(p_col),
+                                 silverman_bandwidth(q_col))
+    assert old > 0.999
+    assert value == pytest.approx(old, abs=1e-7)
+    assert value == mmtv(q, p) == per_coordinate_mmtv(p, q)
+
+
 def test_mmtv_symmetric_exactly():
     for label, p, q in _test_pairs():
         assert mmtv(p, q) == mmtv(q, p), label
+
+
+def test_mmtv_symmetric_exactly_across_bandwidth_ratios():
+    # Wide beside narrow: only one side is interpolated, whichever argument
+    # it is. Equal bandwidths (a shifted copy): both sides share one grid.
+    pairs = [(as_set(p[:, None]), as_set(q[:, None]))
+             for p, q in map(_wide_beside_narrow, [1e2, 1e3, 1e4, 1e5, 1e6])]
+    p = as_set(np.random.default_rng(12).standard_normal((300, 3)))
+    pairs.append((p, as_set(p.points + 3.0)))
+    for p, q in pairs:
+        assert mmtv(p, q) == mmtv(q, p)
+
+
+@pytest.mark.parametrize("shape, spread", [((400, 1), 1e3), ((100, 10), 1e3)],
+                         ids=["400x1", "100x10"])
+def test_mmtv_memory_stays_small_beside_a_wide_set(shape, spread):
+    # A union grid of both sets at 16 points per narrow bandwidth would take
+    # 2^16 points or more here, and tens of MB.
+    rng = np.random.default_rng(5)
+    narrow = as_set(rng.standard_normal(shape))
+    wide = as_set(spread * rng.standard_normal(shape))
+    mmtv(wide, narrow)
+    tracemalloc.start()
+    try:
+        mmtv(wide, narrow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mmtv_rejects_constant_coordinate():
