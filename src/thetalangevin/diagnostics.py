@@ -14,18 +14,21 @@ sign of the one KDE that reaches there. Sign changes are searched only in
 that window, at a spacing of the smaller bandwidth / 16. The narrower KDE's
 grid holds the search points; a KDE with a bandwidth 2^k times as wide
 (k >= 1) has a grid of spacing 2^k times as large and is brought onto them
-by 4-point Lagrange interpolation. With both bandwidths within a factor of
-two, both KDEs share one grid and their difference is transformed once. A
-window end is a cut too where the sign beyond it differs from the nearest
-one inside, and with no such sign inside, where the signs beyond the two
-ends differ: this cuts the gap between two KDEs whose reaches are disjoint.
-A grid's length depends on the ranges and bandwidths of the KDEs it holds,
-not on the ratio of the two bandwidths or the distance between the sets.
-Coordinates whose grids share FFT lengths are binned, transformed (one 2-D
-rfft/irfft along the grid axis) and searched together, in batches of no more
-grid points than the longest grid; the distribution functions at every
-coordinate's cuts are then evaluated together, in cache-sized chunks, from
-column-major copies of the sets.
+by 4-point Lagrange interpolation. A window end strictly inside the total
+variation's range is a cut too where the sign beyond it (that of the one
+KDE that reaches there) differs from the nearest kept sign inside, or where
+no point inside is kept: a sign change then lies between the last kept
+point and the end (a narrow set in a wide set's far tail), or anywhere in
+the window, and two KDEs whose reaches are disjoint are cut in the gap
+between them. Elsewhere the masses on both sides of an end share a sign,
+and a cut there would change nothing beyond rounding. A grid's length
+depends on the range and bandwidth of the KDE it holds, not on the ratio of
+the two bandwidths or the distance between the sets. Coordinates whose grids
+share FFT lengths are binned, transformed (one 2-D rfft/irfft along the grid
+axis) and searched together, in batches of no more grid points per side than
+2^14 or the longest grid, whichever is more; the distribution functions at
+every coordinate's cuts are then evaluated together, in cache-sized chunks,
+from column-major copies of the sets.
 
 Maximum mean discrepancy (MMD): Gaussian-kernel V-statistic (Gretton et al.
 2012) with the median pairwise distance setting the bandwidth. Kernel sums are
@@ -64,6 +67,9 @@ _SIGN_FLOOR = 1e-13
 # A Gaussian kernel term is below _SIGN_FLOOR phi(0) / bandwidth at more than
 # this many bandwidths from its sample.
 _KDE_REACH_BANDWIDTHS = math.sqrt(2.0 * math.log(1.0 / _SIGN_FLOOR))
+# mmtv transforms coordinates in batches of up to this many grid points per
+# side, or one grid if that is longer: fewer calls, and a bounded peak.
+_BATCH_POINTS = 1 << 14
 # mmtv evaluates KDE distribution functions this many kernel terms at a time
 # (one cut point's N terms at least), a block that stays in L1 cache.
 _CDF_CHUNK = 1 << 11
@@ -258,11 +264,12 @@ def _bin_counts(samples: np.ndarray, lo: np.ndarray, dx: np.ndarray, first: np.n
     return counts.reshape(k, n_fft)
 
 
-def _binned_kde_spectra(samples: np.ndarray, bandwidths: np.ndarray, grid: np.ndarray,
-                        lo: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Real FFTs, one row per column of samples, of its KDE on its grid (an
-    _own_grids column; the batch shares one n_fft): the binned counts times
-    the Fourier transform of the Gaussian kernel, scaled to a density."""
+def _binned_kdes(samples: np.ndarray, bandwidths: np.ndarray, grid: np.ndarray,
+                 lo: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """KDE values, one row per column of samples, on its grid (an _own_grids
+    column; the batch shares one n_fft): the real FFT of the binned counts
+    times the Fourier transform of the Gaussian kernel, scaled to a density
+    and transformed back."""
     n_fft = int(grid[2, 0])
     spacing = np.ldexp(dx, grid[0])
     spectra = np.fft.rfft(_bin_counts(samples, lo, spacing, grid[1], n_fft), axis=1)
@@ -283,7 +290,7 @@ def _binned_kde_spectra(samples: np.ndarray, bandwidths: np.ndarray, grid: np.nd
     parts = parts[:, :2 * live]
     parts *= np.repeat(kernel, 2, axis=1)
     parts *= (1.0 / (samples.shape[0] * spacing))[:, None]
-    return spectra
+    return np.fft.irfft(spectra, n_fft, axis=1)
 
 
 def _own_grids(reach_lo: np.ndarray, reach_hi: np.ndarray, bandwidths: np.ndarray,
@@ -326,24 +333,17 @@ def _crossings(p: np.ndarray, q: np.ndarray, bw_p: np.ndarray, bw_q: np.ndarray,
     """Sign changes of the difference between the KDEs of matching columns of
     p and q at their search points lo + j dx, j = first, ..., first + count - 1
     (the rows of search): their columns and positions, in column and grid
-    order, each interpolated linearly between the kept points around it; and
-    the signs of each column's first and last kept points (0 if it has none),
-    as two rows. Each side's grids (_own_grids columns) share one n_fft;
-    where k = 0 on both sides, the two sides share their grids, and the
-    difference of their spectra is transformed once."""
+    order, each interpolated linearly between the kept points around it;
+    and the signs of each column's first and last kept points (0 if it has
+    none), as two rows. Each side's grids (_own_grids columns) share one
+    n_fft."""
     first, count = search
     width = int(count.max())
     # Past its count a row repeats its last point; those points are masked.
     pos = np.minimum(np.arange(width), (count - 1)[:, None])
     j = first[:, None] + pos
-    spectra = _binned_kde_spectra(p, bw_p, grid_p, lo, dx)
-    if grid_p[0].any() or grid_q[0].any():
-        diff = _search_values(np.fft.irfft(spectra, int(grid_p[2, 0]), axis=1), grid_p, j)
-        spectra = _binned_kde_spectra(q, bw_q, grid_q, lo, dx)
-        diff -= _search_values(np.fft.irfft(spectra, int(grid_q[2, 0]), axis=1), grid_q, j)
-    else:
-        spectra -= _binned_kde_spectra(q, bw_q, grid_q, lo, dx)
-        diff = _search_values(np.fft.irfft(spectra, int(grid_p[2, 0]), axis=1), grid_p, j)
+    diff = _search_values(_binned_kdes(p, bw_p, grid_p, lo, dx), grid_p, j)
+    diff -= _search_values(_binned_kdes(q, bw_q, grid_q, lo, dx), grid_q, j)
     floor = _SIGN_FLOOR / (np.minimum(bw_p, bw_q) * math.sqrt(2.0 * math.pi))
     kept = np.abs(diff) > floor[:, None]
     kept &= pos == np.arange(width)
@@ -387,7 +387,7 @@ def mmtv(p: SampleSet, q) -> float:
     each widened by four bandwidths, with cuts at lo, the sign changes of the
     difference of the KDEs (searched on the grid lo + j dx, dx the smaller
     bandwidth / _GRID_POINTS_PER_BANDWIDTH, where both KDEs reach), the ends
-    of that window where a sign change lies beyond them, and hi.
+    of that window where a sign change may lie beyond them, and hi.
     """
     if isinstance(q, Reference):
         q, bw_q = q.samples, q.bandwidths
@@ -414,10 +414,6 @@ def mmtv(p: SampleSet, q) -> float:
     reach_q = q_min - _KDE_REACH_BANDWIDTHS * bw_q, q_max + _KDE_REACH_BANDWIDTHS * bw_q
     w_lo = np.maximum(np.maximum(reach_p[0], reach_q[0]), lo)
     w_hi = np.minimum(np.minimum(reach_p[1], reach_q[1]), hi)
-    # That sign beyond each window end that lies inside [lo, hi]; 0 where
-    # neither KDE reaches past it.
-    beyond = np.stack([np.sign(reach_q[0] - reach_p[0]) * (w_lo > lo),
-                       np.sign(reach_p[1] - reach_q[1]) * (w_hi < hi)])
     dx = np.minimum(bw_p, bw_q) / _GRID_POINTS_PER_BANDWIDTH
     first = np.ceil((w_lo - lo) / dx)
     count = np.floor((w_hi - lo) / dx) - first + 1
@@ -429,28 +425,21 @@ def mmtv(p: SampleSet, q) -> float:
                         hi[live])
     grid_q = _own_grids(reach_q[0][live], reach_q[1][live], bw_q[live], dx[live], lo[live],
                         hi[live])
-    # With both bandwidths within a factor of two, k = 0 on both sides: the
-    # grids are one lattice, and both sets are binned on its points over both
-    # reaches, so their difference is transformed once.
-    shared = (grid_p[0] == 0) & (grid_q[0] == 0)
-    union = np.stack([grid_p[0], np.minimum(grid_p[1], grid_q[1]),
-                      np.maximum(grid_p[2], grid_q[2])])
-    grid_p, grid_q = np.where(shared, union, grid_p), np.where(shared, union, grid_q)
     # Row last becomes n_fft: a power of two at least twice the number of
     # points keeps the FFT's wrap-around beyond every kernel's reach.
     for grid in (grid_p, grid_q):
         grid[2] = [1 << (2 * int(n) - 1).bit_length() for n in grid[2] - grid[1] + 1]
     # Coordinates whose grids share FFT lengths are transformed together, in
-    # batches of no more grid points per side than the longest grid, so
-    # memory peaks as it would for that coordinate alone.
+    # batches of at most max(_BATCH_POINTS, longest grid) grid points per
+    # side, so that bound caps the memory of one batch.
     lengths = np.maximum(grid_p[2], grid_q[2])
     groups = {}
-    for at, key in enumerate(zip(grid_p[2].tolist(), grid_q[2].tolist(), shared.tolist())):
+    for at, key in enumerate(zip(grid_p[2].tolist(), grid_q[2].tolist())):
         groups.setdefault(key, []).append(at)
     cols, crossings = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     inside = np.zeros((2, dim))
     for group in groups.values():
-        batch = int(lengths.max()) // int(lengths[group[0]])
+        batch = max(int(lengths.max()), _BATCH_POINTS) // int(lengths[group[0]])
         for start in range(0, len(group), batch):
             at = np.array(group[start:start + batch])
             c = live[at]
@@ -459,13 +448,16 @@ def mmtv(p: SampleSet, q) -> float:
                                                      search[:, at], lo[c], dx[c])
             cols.append(c[batch_cols])
             crossings.append(x)
-    # A window end is a cut where the sign beyond it differs from the nearest
-    # kept sign inside; with no kept point inside, the lower end is, where
-    # the signs beyond the two ends differ (this cuts the gap between
-    # disjoint reaches).
-    cut_lo, cut_hi = beyond * np.where(inside != 0, inside, beyond[1]) < 0
-    # Cut points of each coordinate: lo, the window ends that cut, the
-    # crossings between them and hi.
+    # The sign beyond each window end that lies inside (lo, hi), 0 at the
+    # others. Such an end is cut where the nearest kept sign inside differs
+    # or nothing inside is kept. With disjoint reaches the window is empty,
+    # and its two ends swap, both in the gap.
+    beyond = np.stack([np.sign(reach_q[0] - reach_p[0]) * (w_lo > lo),
+                       np.sign(reach_p[1] - reach_q[1]) * (w_hi < hi)])
+    cut_lo, cut_hi = (beyond != 0) & (inside != beyond)
+    w_lo, w_hi = np.minimum(w_lo, w_hi), np.maximum(w_lo, w_hi)
+    # Cut points of each coordinate: lo, the window ends that cut with the
+    # crossings between them, and hi.
     coords = np.arange(dim)
     cut_cols = np.concatenate([coords, coords[cut_lo]] + cols + [coords[cut_hi], coords])
     cuts = np.concatenate([lo, w_lo[cut_lo]] + crossings + [w_hi[cut_hi], hi])

@@ -431,51 +431,38 @@ def _lagrange(values, k, first, j):
             + (t + 1.0) * t * (t - 1.0) / 6.0 * values[i + 2])
 
 
-def _window_diff(p_col, q_col, bw_p, bw_q, lo, hi, dx, j):
-    """KDE of p_col minus KDE of q_col at the search points lo + j dx. With
-    both bandwidths within a factor of two, both are binned on one grid over
-    both reaches and their difference is transformed once; otherwise each
-    is transformed on its own grid and interpolated."""
-    bw_min = min(bw_p, bw_q)
-    k_p, first_p, last_p = _own_grid(p_col, bw_p, bw_min, lo, hi, dx)
-    k_q, first_q, last_q = _own_grid(q_col, bw_q, bw_min, lo, hi, dx)
-    if k_p == k_q == 0:
-        first, last = min(first_p, first_q), max(last_p, last_q)
-        n_fft = 1 << (2 * (last - first + 1) - 1).bit_length()
-        diff = np.fft.irfft(_binned_kde_spectrum(p_col, bw_p, lo, dx, first, last)
-                            - _binned_kde_spectrum(q_col, bw_q, lo, dx, first, last), n_fft)
-        return diff[j - first]
-    sides = []
-    for col, bw, k, first, last in ((p_col, bw_p, k_p, first_p, last_p),
-                                    (q_col, bw_q, k_q, first_q, last_q)):
-        n_fft = 1 << (2 * (last - first + 1) - 1).bit_length()
-        spacing = math.ldexp(dx, k)
-        values = np.fft.irfft(_binned_kde_spectrum(col, bw, lo, spacing, first, last), n_fft)
-        sides.append(values[j - first] if k == 0 else _lagrange(values, k, first, j))
-    return sides[0] - sides[1]
+def _window_kde(col, bw, bw_min, lo, hi, dx, j):
+    """The KDE of col at the search points lo + j dx, from its own grid:
+    read off where k = 0, else interpolated."""
+    k, first, last = _own_grid(col, bw, bw_min, lo, hi, dx)
+    n_fft = 1 << (2 * (last - first + 1) - 1).bit_length()
+    values = np.fft.irfft(_binned_kde_spectrum(col, bw, lo, math.ldexp(dx, k), first, last), n_fft)
+    return values[j - first] if k == 0 else _lagrange(values, k, first, j)
 
 
 def window_marginal_tv(p_col: np.ndarray, q_col: np.ndarray, bw_p: float, bw_q: float) -> float:
     """The binned-KDE total variation of one coordinate as diagnostics.mmtv
     computes it, with 1-d transforms: sign changes searched at spacing
     smaller bandwidth / _GRID_POINTS_PER_BANDWIDTH from lo, in the window
-    where both KDEs reach past the sign floor; cuts at lo, the crossings, hi,
-    and at a window end where the sign beyond it (that of the one KDE that
-    reaches there) differs from the nearest kept sign inside, or, with no
-    kept point inside, from the sign beyond the other end."""
+    where both KDEs reach past the sign floor; cuts at lo, the crossings,
+    hi, and at a window end inside (lo, hi) where the sign beyond it (that of
+    the one KDE that reaches there) differs from the nearest kept sign
+    inside or no point inside is kept (the ends swapped when the window is
+    empty)."""
     lo, hi = _grid_ends(p_col, q_col, bw_p, bw_q)
     p_lo, p_hi = p_col.min() - _KDE_REACH_BANDWIDTHS * bw_p, p_col.max() + _KDE_REACH_BANDWIDTHS * bw_p
     q_lo, q_hi = q_col.min() - _KDE_REACH_BANDWIDTHS * bw_q, q_col.max() + _KDE_REACH_BANDWIDTHS * bw_q
     w_lo, w_hi = max(p_lo, q_lo, lo), min(p_hi, q_hi, hi)
     beyond_lo = np.sign(q_lo - p_lo) * (w_lo > lo)
     beyond_hi = np.sign(p_hi - q_hi) * (w_hi < hi)
-    inside_lo = inside_hi = beyond_hi
+    inside_lo = inside_hi = 0.0
     bw_min = min(bw_p, bw_q)
     dx = bw_min / _GRID_POINTS_PER_BANDWIDTH
     crossings = []
     j = np.arange(math.ceil((w_lo - lo) / dx), math.floor((w_hi - lo) / dx) + 1)
     if j.size:
-        diff = _window_diff(p_col, q_col, bw_p, bw_q, lo, hi, dx, j)
+        diff = (_window_kde(p_col, bw_p, bw_min, lo, hi, dx, j)
+                - _window_kde(q_col, bw_q, bw_min, lo, hi, dx, j))
         kept = np.abs(diff) > _SIGN_FLOOR / (bw_min * math.sqrt(2.0 * math.pi))
         at, values = j[kept], diff[kept]
         if values.size:
@@ -484,8 +471,9 @@ def window_marginal_tv(p_col: np.ndarray, q_col: np.ndarray, bw_p: float, bw_q: 
         d_left, d_right = values[:-1][flips], values[1:][flips]
         g_left, g_right = at[:-1][flips] * dx + lo, at[1:][flips] * dx + lo
         crossings = list(g_left + (g_right - g_left) * (d_left / (d_left - d_right)))
-    cuts = ([lo] + ([w_lo] if beyond_lo * inside_lo < 0 else []) + crossings
-            + ([w_hi] if beyond_hi * inside_hi < 0 else []) + [hi])
+    cut_lo, cut_hi = beyond_lo not in (0, inside_lo), beyond_hi not in (0, inside_hi)
+    w_lo, w_hi = min(w_lo, w_hi), max(w_lo, w_hi)
+    cuts = [lo] + [w_lo] * cut_lo + crossings + [w_hi] * cut_hi + [hi]
     return _cut_tv(p_col, q_col, bw_p, bw_q, np.array(cuts))
 
 

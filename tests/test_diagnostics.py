@@ -399,7 +399,7 @@ def test_mmtv_symmetric_exactly():
 
 def test_mmtv_symmetric_exactly_across_bandwidth_ratios():
     # Wide beside narrow: only one side is interpolated, whichever argument
-    # it is. Equal bandwidths (a shifted copy): both sides share one grid.
+    # it is. Equal bandwidths (a shifted copy): neither side is.
     pairs = [(as_set(p[:, None]), as_set(q[:, None]))
              for p, q in map(_wide_beside_narrow, [1e2, 1e3, 1e4, 1e5, 1e6])]
     p = as_set(np.random.default_rng(12).standard_normal((300, 3)))
