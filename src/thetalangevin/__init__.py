@@ -22,6 +22,7 @@ from .samplers import (
     iila_step,
     ila_step_gaussian,
     run_chain,
+    run_chains,
     transition_log_density,
     ula_step,
 )

@@ -27,6 +27,7 @@ from .samplers import (
     SamplerConfig,
     StabilityWarning,
     run_chain,
+    run_chains,
     transition_log_density,
 )
 from .targets import GaussianTarget, LogisticRegressionTarget
@@ -37,6 +38,9 @@ SEED_ENV_VAR = "THETALANGEVIN_SEED"
 # draws, 2 reference chain.
 _STREAM_EXACT_REFERENCE = 1
 _STREAM_REFERENCE_CHAIN = 2
+
+# Contour grid points scored per stacked transition_log_density call.
+_CONTOUR_CHUNK = 1024
 
 
 @dataclass
@@ -144,22 +148,39 @@ def build_gaussian_target(dim: int, kappa: float, seed: int) -> GaussianTarget:
     return GaussianTarget.from_covariance(np.zeros(dim), corr)
 
 
-def _grid_row(target, config: ExperimentConfig, theta: float, h: float,
-              reference: diagnostics.Reference, compute_mmtv: bool = True) -> GridRow:
-    """Score the chain at (theta, h) against the reference. theta = 0 rows keep
-    every config.thin-th sample, so explicit and implicit budgets compare."""
-    thin = config.thin if theta == 0.0 else 1
-    chain_config = SamplerConfig(theta=theta, h=h, eps=config.eps,
-                                 n_steps=config.burn_in + config.n_samples * thin,
-                                 seed=config.seed)
+def _quiet(run, *args, **kwargs):
+    """run(*args, **kwargs) without StabilityWarning: the sweep probes
+    unstable step sizes on purpose, and reports divergence through the
+    output row, not a per-point warning."""
     with warnings.catch_warnings():
-        # The sweep probes unstable step sizes on purpose; divergence is
-        # reported through the output row, not a per-point warning.
         warnings.simplefilter("ignore", StabilityWarning)
-        trajectory = run_chain(target, np.zeros(target.dim), chain_config)
+        return run(*args, **kwargs)
+
+
+def _row_chains(target, config: ExperimentConfig, theta: float, h_grid):
+    """The chain of each grid row of theta, in h_grid's order, kept at steps
+    burn_in + j * thin: theta = 0 rows keep every config.thin-th state, so
+    explicit and implicit budgets compare. Logistic rows advance together
+    through run_chains; Gaussian rows run one at a time through run_chain, so
+    only one row's samples are held at once."""
+    thin = config.thin if theta == 0.0 else 1
+    chain_configs = [SamplerConfig(theta=theta, h=h, eps=config.eps,
+                                   n_steps=config.burn_in + config.n_samples * thin,
+                                   seed=config.seed) for h in h_grid]
+    x0 = np.zeros(target.dim)
+    if not isinstance(target, GaussianTarget):
+        return _quiet(run_chains, target, x0, chain_configs, thin=thin, burn_in=config.burn_in)
+    return (replace(trajectory, samples=trajectory.samples[config.burn_in::thin])
+            for trajectory in (_quiet(run_chain, target, x0, c) for c in chain_configs))
+
+
+def _grid_row(theta: float, h: float, trajectory, reference: diagnostics.Reference,
+              compute_mmtv: bool = True) -> GridRow:
+    """Score the chain at (theta, h) against the reference: its kept samples
+    after the first (the state at the end of burn-in)."""
     if trajectory.diverged:
         return GridRow(theta=theta, h=h, mmtv=math.nan, mmd2=math.nan, diverged=True)
-    sample_set = SampleSet(trajectory.samples[config.burn_in + thin::thin])
+    sample_set = SampleSet(trajectory.samples[1:])
     try:
         mmtv_val = diagnostics.mmtv(sample_set, reference) if compute_mmtv else math.nan
         mmd_val = diagnostics.mmd2(sample_set, reference)
@@ -211,8 +232,8 @@ _SWEEP_SETUPS = {"gaussian": _gaussian_sweep_setup, "logistic": _logistic_sweep_
 
 
 def run_sweep(config: ExperimentConfig, compute_mmtv: bool = True) -> list[GridRow]:
-    """Discrepancy sweep over (theta, h), one grid point after another, rows
-    sorted by (theta, h) (thetas arrive in the caller's order). config.kind
+    """Discrepancy sweep over (theta, h), one theta after another, rows sorted
+    by (theta, h) (thetas arrive in the caller's order). config.kind
     picks the target, the step h_half bounding the default h grid, and the
     reference set, which is built only once the h grid has been resolved. The
     reference side of both discrepancies is computed once, for every row.
@@ -223,8 +244,9 @@ def run_sweep(config: ExperimentConfig, compute_mmtv: bool = True) -> list[GridR
     target, h_half, build_reference = setup(config)
     h_grid = resolve_h_grid(config, target.convexity_bounds()[1], h_half)
     reference = diagnostics.Reference.from_samples(build_reference(), seed=config.seed)
-    rows = [_grid_row(target, config, th, h, reference, compute_mmtv=compute_mmtv)
-            for th in config.thetas for h in h_grid]
+    rows = [_grid_row(theta, h, trajectory, reference, compute_mmtv=compute_mmtv)
+            for theta in config.thetas
+            for h, trajectory in zip(h_grid, _row_chains(target, config, theta, h_grid))]
     rows.sort(key=lambda r: (r.theta, r.h))
     return rows
 
@@ -251,7 +273,9 @@ def run_kernel_contour(config: ExperimentConfig, target) -> list[tuple]:
 
     Requires a 2-d target (Gaussian via kappa, or logistic with one feature
     column plus intercept), as build_contour_target(config) gives. Returns
-    rows (theta, x, y, log_density).
+    rows (theta, x, y, log_density), x outer and y inner; each theta's grid
+    is scored _CONTOUR_CHUNK points at a time, with stacked Hessians and
+    gradients.
     """
     if config.h_values is not None and len(config.h_values) > 1:
         raise ValueError(f"contour draws one step size; give one --h, got {config.h_values}")
@@ -264,13 +288,14 @@ def run_kernel_contour(config: ExperimentConfig, target) -> list[tuple]:
     h = config.h_values[0] if config.h_values else 1.0
     span = config.span if config.span is not None else 4.0 * math.sqrt(h) + 2.0
     axis = np.linspace(-span, span, config.grid_count)
+    points = source + np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    xs, ys = points[:, 0].tolist(), points[:, 1].tolist()
     rows = []
     for theta in config.thetas:
-        for gx in axis:
-            for gy in axis:
-                point = source + np.array([gx, gy])
-                log_p = transition_log_density(target, point, source, theta, h)
-                rows.append((theta, point[0], point[1], log_p))
+        log_p = np.concatenate([
+            transition_log_density(target, points[i:i + _CONTOUR_CHUNK], source, theta, h)
+            for i in range(0, points.shape[0], _CONTOUR_CHUNK)])
+        rows += [(theta, x, y, lp) for x, y, lp in zip(xs, ys, log_p.tolist())]
     return rows
 
 

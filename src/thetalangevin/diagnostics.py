@@ -5,8 +5,9 @@ density estimate is linearly binned and FFT-convolved on its own grid
 (Silverman 1982; Wand 1994), at 16 to 32 points per its own bandwidth. The
 grids only locate the sign changes of the difference of the two KDEs; the
 total variation itself comes exactly from the difference of the two KDE
-distribution functions between consecutive cuts, so an error in a
-crossing's position changes it only to second order. A KDE is below the
+distribution functions between consecutive cuts, the first at -inf and the
+last at +inf, so an error in a crossing's position changes it only to
+second order and no tail mass is dropped. A KDE is below the
 sign floor (the level under which a difference counts as zero) beyond its
 reach, sqrt(2 ln(1 / floor)) bandwidths past its sample range; outside the
 window where both KDEs reach, every point above the floor therefore has the
@@ -383,11 +384,12 @@ def mmtv(p: SampleSet, q) -> float:
 
     q is a SampleSet or a Reference; Silverman bandwidths of a Reference are
     reused. Symmetric: mmtv(p, q) == mmtv(q, p) exactly. Per coordinate, the
-    total variation is taken over [lo, hi], the union of both sample ranges,
-    each widened by four bandwidths, with cuts at lo, the sign changes of the
-    difference of the KDEs (searched on the grid lo + j dx, dx the smaller
-    bandwidth / _GRID_POINTS_PER_BANDWIDTH, where both KDEs reach), the ends
-    of that window where a sign change may lie beyond them, and hi.
+    total variation is taken over the whole line, with cuts at -inf, the
+    sign changes of the difference of the KDEs (searched on the grid
+    lo + j dx, dx the smaller bandwidth / _GRID_POINTS_PER_BANDWIDTH, where
+    both KDEs reach; lo and hi bound the union of both sample ranges, each
+    widened by four bandwidths), the ends of that window where a sign change
+    may lie beyond them, and +inf.
     """
     if isinstance(q, Reference):
         q, bw_q = q.samples, q.bandwidths
@@ -456,11 +458,13 @@ def mmtv(p: SampleSet, q) -> float:
                        np.sign(reach_p[1] - reach_q[1]) * (w_hi < hi)])
     cut_lo, cut_hi = (beyond != 0) & (inside != beyond)
     w_lo, w_hi = np.minimum(w_lo, w_hi), np.maximum(w_lo, w_hi)
-    # Cut points of each coordinate: lo, the window ends that cut with the
-    # crossings between them, and hi.
+    # Cut points of each coordinate: -inf, the window ends that cut with the
+    # crossings between them, and +inf, where the KDE distribution functions
+    # are exactly 0 and 1, so the tails beyond lo and hi count too.
     coords = np.arange(dim)
     cut_cols = np.concatenate([coords, coords[cut_lo]] + cols + [coords[cut_hi], coords])
-    cuts = np.concatenate([lo, w_lo[cut_lo]] + crossings + [w_hi[cut_hi], hi])
+    cuts = np.concatenate([np.full(dim, -np.inf), w_lo[cut_lo]] + crossings
+                          + [w_hi[cut_hi], np.full(dim, np.inf)])
     order = np.argsort(cut_cols, kind="stable")
     cut_cols, cuts = cut_cols[order], cuts[order]
     masses = np.abs(np.diff(_kde_cdfs(p, bw_p, cuts, cut_cols)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import drot
 
 from .errors import NumericalError
 
@@ -89,7 +88,10 @@ def random_correlation(eigenvalues, seed: int) -> np.ndarray:
 
 def _givens_to_unit_diagonal(m: np.ndarray) -> np.ndarray:
     """Rotate the C-contiguous symmetric m of trace d, in place, to unit
-    diagonal (Davies and Higham 2000)."""
+    diagonal (Davies and Higham 2000). BLAS drot is imported on first use,
+    so only a sweep that builds a correlation matrix loads scipy.linalg."""
+    from scipy.linalg.blas import drot
+
     d = m.shape[0]
     flat, diag = m.ravel(), np.diagonal(m)  # views, so drot rotates m itself
     for i in range(d - 1):

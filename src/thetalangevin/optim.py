@@ -4,14 +4,15 @@ Each sampler step with an implicit component requires a point whose subproblem
 gradient norm falls below a tolerance. The Newton solver here honors that
 contract: it stops as soon as the norm of the supplied gradient oracle drops to
 the tolerance, and reports failure (never a silently bad point) when the
-iteration cap is reached first.
+iteration cap is reached first. It serves mode finding and the large-step
+limit map; the samplers run the same iteration, with these constants, on a
+stack of subproblems at once.
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericalError
 
@@ -53,8 +54,12 @@ def newton_solve(problem: SolveProblem) -> SolveResult:
     criterion is ||g|| <= tol, descent is enforced on ||g||^2 itself, for which
     the Newton direction gives directional derivative -2||g||^2. Iterates are
     never edited in place, so x0 is not copied: the first gradient call gets
-    x0 itself, and so does the result when no iteration runs.
+    x0 itself, and so does the result when no iteration runs. LAPACK is
+    imported on first use: the samplers' batched steps use numpy's, so a
+    sweep that never solves through here never loads scipy.linalg.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     x = np.asarray(problem.x0, dtype=float)
     g = problem.gradient(x)
     sq = float(g @ g)

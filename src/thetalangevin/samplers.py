@@ -7,7 +7,10 @@ One step from x with noise z and step size h solves
 theta = 0 is the explicit (forward Euler) update, computable in closed form;
 theta > 0 makes the update implicit. For Gaussian targets every step is a
 closed-form linear map; otherwise each step is a strongly convex subproblem
-solved to a gradient-norm tolerance by the optim module. The transition kernel
+solved by Newton to a gradient-norm tolerance. Chains of one theta at several
+step sizes read the same noise, so they advance together as one (B, d)
+state: one batched explicit step, or one batched Newton solve, per step for
+all of them, and a lone chain is a batch of one. The transition kernel
 density of the implicit update is available in closed form for diagnostics.
 """
 
@@ -18,9 +21,15 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+# The gufuncs of numpy's LAPACK that np.linalg.cholesky and np.linalg.solve
+# call. At d = 10 the wrappers' argument checks and error-state setup cost
+# as much per call as the factorization itself (3 to 7 us), which made a lone
+# chain's Newton steps 14% slower; the iterations call the gufuncs directly.
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
-from .optim import SolveProblem, SolveResult, newton_solve
+from .optim import (_ARMIJO_FACTOR, _BACKTRACK_RATIO, _MAX_BACKTRACKS, NEWTON_ITER_CAP,
+                    SolveResult)
 from .targets import GaussianTarget, TargetDensity, _check_point
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -93,11 +102,14 @@ class NoiseStream:
 
 @dataclass
 class Trajectory:
-    """Chain output: samples plus per-step inner-solver statistics.
+    """Chain output: the kept samples plus per-step inner-solver statistics.
 
-    Row 0 of samples is the initial point. If the chain diverged (an iterate
-    norm exceeded the divergence threshold), it is truncated at the offending
-    iterate and flagged.
+    Row j of samples is the state after burn_in + j * thin steps; run_chain
+    keeps every state, so its row 0 is the initial point. If the chain
+    diverged (an iterate norm exceeded the divergence threshold), it stops
+    there, the offending iterate is its last row, and it is flagged.
+    solver_iterations and grad_norms hold one entry per step run; steps
+    without an inner solve read zero.
     """
 
     samples: np.ndarray
@@ -107,7 +119,12 @@ class Trajectory:
 
     @property
     def n_steps(self) -> int:
-        return self.samples.shape[0] - 1
+        return self.solver_iterations.shape[0]
+
+
+def _no_solves(n: int) -> tuple:
+    """Read-only zero iteration counts and gradient norms for n steps."""
+    return np.broadcast_to(0, (n,)), np.broadcast_to(0.0, (n,))
 
 
 def _check_step(target: TargetDensity, x, z, theta: float, h: float):
@@ -115,12 +132,174 @@ def _check_step(target: TargetDensity, x, z, theta: float, h: float):
     return _check_point(x, target.dim), _check_point(z, target.dim)
 
 
-# Step kernels, built once per (target, theta, h[, eps]) from validated
-# parameters: each maps (x, z) -> (x_next, SolveResult | None).
-def _explicit_kernel(target: TargetDensity, theta: float, h: float):
-    """x, z -> x - (h(1-theta)/2) grad f(x) + sqrt(h) z."""
-    drift, sqrt_h = 0.5 * h * (1.0 - theta), np.sqrt(h)
-    return lambda x, z: (x - drift * target._gradient(x) + sqrt_h * z, None)
+# Batched step kernels. Points are rows of x, shape (B, d), one per step size;
+# every row reads the same noise vector z. The per-row terms are columns.
+def _step_terms(theta: float, hs, dim: int) -> tuple:
+    """(drift, sqrt_h, scale, shift) = (h(1-theta)/2, sqrt(h), 2/h, (2/h) I)
+    for the step sizes hs: (B, 1) columns and a (B, dim, dim) stack."""
+    h = np.asarray(hs, dtype=float)[:, None]
+    scale = 2.0 / h
+    return 0.5 * h * (1.0 - theta), np.sqrt(h), scale, scale[:, :, None] * np.eye(dim)
+
+
+def _row_sq(a):
+    """Squared norm of each row."""
+    return (a * a).sum(axis=1)
+
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def _all(mask) -> bool:
+    # np.count_nonzero costs a fraction of ndarray.all on a few elements.
+    return np.count_nonzero(mask) == mask.size
+
+
+def _predict(target: TargetDensity, x, z, drift, sqrt_h, shared=None):
+    """The explicit predictors x - drift grad f(x) + sqrt_h z, and the
+    gradients."""
+    grad = target._gradient(x, shared)
+    return x - drift * grad + sqrt_h * z, grad
+
+
+def _implicit_step(target: TargetDensity, x, z, theta: float, terms: tuple, eps: float):
+    """Inexact implicit steps: per row, Newton on the subproblem
+    theta f(u) + |u - v|^2 / h, whose proximity centre is the explicit
+    predictor v, started at the current point x, to gradient norm <= eps.
+
+    At large h the predictor is the unstable explicit step, while x is never
+    far from the subproblem's solution, so x is the better start. The target
+    is evaluated at x once: its shared work and gradient give both v and the
+    first Newton gradient and Hessian. Returns the next points, the Newton
+    iterations and the final squared gradient norms.
+    """
+    drift, sqrt_h, scale, shift = terms
+    shared = target._shared(x)
+    v, grad = _predict(target, x, z, drift, sqrt_h, shared)
+    return _newton(target, theta, scale, shift, v, x, shared, theta * grad + scale * (x - v),
+                   eps)
+
+
+class _RowFailure(NumericalError):
+    """An inner solve failed on one row of a batch."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _take(idx, *arrays) -> list:
+    return [None if a is None else a[idx] for a in arrays]
+
+
+def _newton(target: TargetDensity, theta: float, scale, shift, v, u, shared, g, tol: float):
+    """optim.newton_solve for every row's subproblem at once, started at the
+    rows of u, whose subproblem gradients are g and target work shared.
+
+    A row leaves the batch once its gradient norm reaches tol, once no step
+    length passes the Armijo test on |g|^2, or at NEWTON_ITER_CAP iterations;
+    the batch is compacted only when some row leaves. Each iteration factors
+    the stack of subproblem Hessians theta H + shift, shift = scale I, once,
+    with numpy's LAPACK Cholesky (the positive-definite check), and solves the
+    stack once. Returns the final points, iterations and squared gradient
+    norms.
+    """
+    b = u.shape[0]
+    tol2, armijo = tol * tol, 1.0 - 2.0 * _ARMIJO_FACTOR
+    sq = _row_sq(g)
+    its = np.zeros(b, dtype=int)
+    # Rows that leave the batch are written to u_out and sq_out, made when
+    # the first row leaves before the others (as it does at iteration 0).
+    u_out = sq_out = None
+    rows = np.arange(b)
+    live = sq > tol2
+    if not _all(live):
+        u_out, sq_out = u.copy(), sq.copy()
+        rows = rows[live]
+        u, v, g, sq, scale, shift, shared = _take(live, u, v, g, sq, scale, shift, shared)
+
+    def evaluate(u, v, scale):
+        shared = target._shared(u)
+        g = theta * target._gradient(u, shared) + scale * (u - v)
+        return shared, g, _row_sq(g)
+
+    it = 0
+    while rows.size and it < NEWTON_ITER_CAP:
+        jac = theta * target._hessian(u, shared) + shift
+        try:
+            # A matrix that is not positive definite sets the invalid flag.
+            with np.errstate(invalid="raise"):
+                _umath_linalg.cholesky_lo(jac)
+        except FloatingPointError:
+            raise _RowFailure(rows[_first_indefinite(jac)],
+                              f"Cholesky factorization failed at iteration {it}; "
+                              "Hessian is not positive definite") from None
+        step = _umath_linalg.solve1(jac, g)
+        # LAPACK factors NaN without complaint. A finite sum clears every
+        # row at once; one that overflowed without a bad entry passes too.
+        if not math.isfinite(step.sum()):
+            finite = np.isfinite(step).all(axis=1)
+            if not finite.all():
+                raise _RowFailure(rows[np.argmin(finite)],
+                                  f"Newton step is not finite at iteration {it}")
+        u_new = u - step
+        shared_new, g_new, sq_new = evaluate(u_new, v, scale)
+        stalled = _NO_ROWS
+        ok = sq_new <= sq * armijo
+        if not _all(ok):
+            back, t = np.flatnonzero(~ok), 1.0
+            for _ in range(_MAX_BACKTRACKS - 1):
+                t *= _BACKTRACK_RATIO
+                u_try = u[back] - t * step[back]
+                shared_try, g_try, sq_try = evaluate(u_try, v[back], scale[back])
+                passed = sq_try <= sq[back] * (1.0 - 2.0 * _ARMIJO_FACTOR * t)
+                at = back[passed]
+                u_new[at], g_new[at], sq_new[at] = u_try[passed], g_try[passed], sq_try[passed]
+                if shared is not None:
+                    shared_new[at] = shared_try[passed]
+                back = back[~passed]
+                if not back.size:
+                    break
+            # No productive step length left; |g| is at the numerical floor.
+            stalled = back
+        it += 1
+        done = sq_new <= tol2
+        if stalled.size:
+            done[stalled] = True
+        if not np.count_nonzero(done):
+            u, g, sq, shared = u_new, g_new, sq_new, shared_new
+            continue
+        if u_out is None:
+            if _all(done) and not stalled.size:  # every row leaves at once
+                its[:] = it
+                return u_new, its, sq_new
+            u_out, sq_out = np.empty_like(u_new), np.empty_like(sq_new)
+        at = rows[done]
+        u_out[at], sq_out[at], its[at] = u_new[done], sq_new[done], it
+        if stalled.size:
+            at = rows[stalled]
+            u_out[at], sq_out[at], its[at] = u[stalled], sq[stalled], it - 1
+        if _all(done):
+            return u_out, its, sq_out
+        keep = ~done
+        rows = rows[keep]
+        u, v, g, sq, scale, shift, shared = _take(keep, u_new, v, g_new, sq_new, scale, shift,
+                                                  shared_new)
+    its[rows] = it
+    if u_out is None:
+        return u, its, sq
+    u_out[rows], sq_out[rows] = u, sq
+    return u_out, its, sq_out
+
+
+def _first_indefinite(matrices) -> int:
+    """Index of the first matrix of a stack that Cholesky refuses."""
+    for i, matrix in enumerate(matrices):
+        try:
+            np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            return i
+    raise AssertionError("every matrix factors")
 
 
 def _gaussian_coefficients(target: GaussianTarget, theta: float, h: float):
@@ -143,48 +322,7 @@ def _gaussian_kernel(target_ref: weakref.ref, theta: float, h: float):
     vecs, mean = target.eigenvectors, target.mean
     a, b = _gaussian_coefficients(target, theta, h)
     step_x, step_z = (vecs * a) @ vecs.T, (vecs * b) @ vecs.T
-    return lambda x, z: (step_x @ (x - mean) + step_z @ z + mean, None)
-
-
-def _newton_kernel(target: TargetDensity, theta: float, h: float, eps: float):
-    """Inexact implicit step: Newton on the subproblem with proximity centre
-    the explicit predictor v, started at the current point x, to gradient
-    norm <= eps.
-
-    At large h the predictor is the unstable explicit step, while x is never
-    far from the subproblem's solution, so x is the better start. The target
-    is evaluated at x once: its shared work and gradient give both v and the
-    first Newton gradient and Hessian. Later points share the target's work
-    between gradient and Hessian through the same one-entry memo, keyed by
-    identity; newton_solve never copies or edits a point.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"inexact implicit step requires eps > 0, got {eps}")
-    drift, sqrt_h = 0.5 * h * (1.0 - theta), np.sqrt(h)
-    scale, d = 2.0 / h, target.dim
-    v = point = shared = grad = None
-
-    def gradient(u):
-        nonlocal point, shared, grad
-        if u is not point:
-            point, shared = u, target._shared(u)
-            grad = target._gradient(u, shared)
-        return theta * grad + scale * (u - v)
-
-    def hessian(u):
-        hess = theta * target._hessian(u, shared if u is point else None)
-        hess.flat[:: d + 1] += scale
-        return hess
-
-    def step(x, z):
-        nonlocal v, point, shared, grad
-        point, shared = x, target._shared(x)
-        grad = target._gradient(x, shared)
-        v = x - drift * grad + sqrt_h * z
-        result = newton_solve(SolveProblem(gradient=gradient, hessian=hessian, x0=x, tol=eps))
-        return result.x, result
-
-    return step
+    return lambda x, z: step_x @ (x - mean) + step_z @ z + mean
 
 
 def ula_step(target: TargetDensity, x, z, h: float) -> np.ndarray:
@@ -199,7 +337,8 @@ def explicit_predictor(target: TargetDensity, x, z, theta: float, h: float) -> n
     update when theta = 0. The inner solver starts at x, not at v.
     """
     x, z = _check_step(target, x, z, theta, h)
-    return _explicit_kernel(target, theta, h)(x, z)[0]
+    drift, sqrt_h = _step_terms(theta, [h], target.dim)[:2]
+    return _predict(target, x[None], z, drift, sqrt_h)[0][0]
 
 
 def ila_step_gaussian(target: GaussianTarget, x, z, theta: float, h: float) -> np.ndarray:
@@ -212,7 +351,12 @@ def ila_step_gaussian(target: GaussianTarget, x, z, theta: float, h: float) -> n
     if not isinstance(target, GaussianTarget):
         raise TypeError("closed-form step requires a GaussianTarget")
     x, z = _check_step(target, x, z, theta, h)
-    return _gaussian_kernel(weakref.ref(target), float(theta), float(h))(x, z)[0]
+    return _gaussian_kernel(weakref.ref(target), float(theta), float(h))(x, z)
+
+
+def _check_eps(eps: float) -> None:
+    if eps <= 0.0:
+        raise ValueError(f"inexact implicit step requires eps > 0, got {eps}")
 
 
 def iila_step(target: TargetDensity, x, z, config: SamplerConfig) -> tuple[np.ndarray, SolveResult]:
@@ -220,35 +364,47 @@ def iila_step(target: TargetDensity, x, z, config: SamplerConfig) -> tuple[np.nd
 
     Returns the accepted point and the inner-solver statistics. The subproblem
     has curvature bounds [theta*m + 2/h, theta*M + 2/h] and its proximity
-    centre is the explicit predictor; the solver starts at x.
+    centre is the explicit predictor; the solver starts at x. This is the
+    chain drivers' step, on a batch of one.
     """
     if config.theta <= 0.0:
         raise ValueError("inexact implicit step requires theta > 0; use ula_step")
+    _check_eps(config.eps)
     x, z = _check_step(target, x, z, config.theta, config.h)
-    return _newton_kernel(target, config.theta, config.h, config.eps)(x, z)
+    x_next, its, sq = _implicit_step(target, x[None], z, config.theta,
+                                     _step_terms(config.theta, [config.h], target.dim),
+                                     config.eps)
+    grad_norm = float(np.sqrt(sq[0]))
+    return x_next[0], SolveResult(x=x_next[0], grad_norm=grad_norm, iterations=int(its[0]),
+                                  converged=grad_norm <= config.eps)
 
 
-def transition_log_density(target: TargetDensity, y, x, theta: float, h: float) -> float:
+def transition_log_density(target: TargetDensity, y, x, theta: float, h: float):
     """Log density of one implicit step landing at y, started from x.
 
     log |det(I + (h theta/2) hess f(y))| plus the log density of
     N(x - (h(1-theta)/2) grad f(x), h I) evaluated at y + (h theta/2) grad f(y).
-    The determinant is computed by Cholesky, so an indefinite matrix raises.
+    y is one point, giving a float, or an (N, d) matrix of points, giving one
+    value per row from stacked Hessians and gradients. The determinants are
+    computed by Cholesky, so an indefinite matrix raises.
     """
-    y, x = _check_step(target, y, x, theta, h)
-    d = target.dim
-    jac = np.eye(d) + 0.5 * h * theta * target.hessian(y)
+    _check_theta_h(theta, h)
+    x, ys = _check_point(x, target.dim), _check_point(y, target.dim, stack=True)
+    points = ys.reshape(-1, target.dim)
+    drift, sqrt_h = _step_terms(theta, [h], target.dim)[:2]
+    jac = np.eye(target.dim) + 0.5 * h * theta * target._hessian(points)
     try:
         chol = np.linalg.cholesky(jac)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "transition density Jacobian is not positive definite"
         ) from exc
-    log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-    mean = explicit_predictor(target, x, np.zeros(d), theta, h)
-    residual = y + 0.5 * h * theta * target.gradient(y) - mean
-    log_gauss = -0.5 * d * (LOG_2PI + np.log(h)) - float(residual @ residual) / (2.0 * h)
-    return log_det + log_gauss
+    log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    mean = _predict(target, x[None], 0.0, drift, sqrt_h)[0]
+    residual = points + 0.5 * h * theta * target._gradient(points) - mean
+    log_gauss = -0.5 * target.dim * (LOG_2PI + np.log(h)) - _row_sq(residual) / (2.0 * h)
+    values = log_det + log_gauss
+    return values if ys.ndim == 2 else float(values[0])
 
 
 def stability_bound(theta: float, m: float, big_m: float) -> float:
@@ -261,71 +417,136 @@ def stability_bound(theta: float, m: float, big_m: float) -> float:
     return 4.0 * m / (big_m**2 * (1.0 - 2.0 * theta))
 
 
-def run_chain(target: TargetDensity, x0, config: SamplerConfig,
-              noise: NoiseStream | None = None) -> Trajectory:
-    """Run a chain of config.n_steps transitions from x0.
-
-    Dispatch: the closed-form update, run in the eigenbasis of Q, for Gaussian
-    targets; explicit update when theta = 0; otherwise the inexact implicit
-    step (requires eps > 0). Iterates whose norm exceeds the divergence
-    threshold truncate the chain and set the diverged flag, which is the
-    expected outcome for the explicit method at large step sizes. A failed
-    inner solve raises NumericalError naming (theta, h) and the step, instead
-    of contaminating the trajectory.
-    """
+def _chain_inputs(target: TargetDensity, x0, configs, noise):
+    """Validated x0 and the noise stream (seeded by the configs if None),
+    after warning for each config in the explicit method's unstable regime."""
     x0 = _check_point(x0, target.dim)
     m, big_m = target.convexity_bounds()
-    bound = stability_bound(config.theta, m, big_m)
-    if config.h >= bound:
-        warnings.warn(
-            f"theta={config.theta} < 1/2 with h={config.h} >= {bound:.6g}: "
-            "outside the guaranteed-stability regime; the chain may diverge",
-            StabilityWarning, stacklevel=2,
-        )
+    for config in configs:
+        bound = stability_bound(config.theta, m, big_m)
+        if config.h >= bound:
+            warnings.warn(
+                f"theta={config.theta} < 1/2 with h={config.h} >= {bound:.6g}: "
+                "outside the guaranteed-stability regime; the chain may diverge",
+                StabilityWarning, stacklevel=3,
+            )
     if noise is None:
-        noise = NoiseStream(config.seed, target.dim)
+        noise = NoiseStream(configs[0].seed, target.dim)
     if noise.dim != target.dim:
         raise ValueError(f"noise dimension {noise.dim} != target dimension {target.dim}")
+    return x0, noise
 
+
+def run_chain(target: TargetDensity, x0, config: SamplerConfig,
+              noise: NoiseStream | None = None) -> Trajectory:
+    """Run a chain of config.n_steps transitions from x0, keeping every state.
+
+    Dispatch: the closed-form update, run in the eigenbasis of Q, for Gaussian
+    targets; otherwise run_chains on a batch of one: the explicit update when
+    theta = 0, else the inexact implicit step (requires eps > 0). Iterates
+    whose norm exceeds the divergence threshold truncate the chain and set
+    the diverged flag, which is the expected outcome for the explicit method
+    at large step sizes. A failed inner solve raises NumericalError naming
+    (theta, h) and the step, instead of contaminating the trajectory.
+    """
+    if not isinstance(target, GaussianTarget):
+        return run_chains(target, x0, [config], noise)[0]
+    x0, noise = _chain_inputs(target, x0, [config], noise)
     n = config.n_steps
     samples = np.empty((n + 1, target.dim))
     samples[0] = x0
-    iterations = np.zeros(n, dtype=int)
-    grad_norms = np.zeros(n)
+    kept = _gaussian_chain(target, config.theta, config.h, noise, samples)
+    diverged = kept > 0 and _diverged(samples[kept])
+    return Trajectory(samples[: kept + 1], *_no_solves(kept), diverged=diverged)
+
+
+def run_chains(target: TargetDensity, x0, configs, noise: NoiseStream | None = None,
+               thin: int = 1, burn_in: int = 0) -> list[Trajectory]:
+    """Run one chain per config from x0, all advanced together as one (B, d)
+    state, and return their trajectories in the order of configs.
+
+    The configs differ only in h; theta, eps, n_steps and seed are shared, and
+    so is the noise of each step. Each trajectory keeps the states after
+    burn_in + j * thin steps, j = 0, 1, .... theta = 0 takes one batched
+    explicit step per step. Otherwise each step is one batched Newton solve
+    (see _newton), whose rows match lone chains up to rounding in the last
+    bits: BLAS may sum a batch's products in another order. A diverged row
+    leaves the batch; a failed inner solve raises NumericalError naming the
+    row's (theta, h) and the step. Gaussian targets have a closed-form step;
+    run_chain runs it, one chain at a time.
+    """
     if isinstance(target, GaussianTarget):
-        kept = _gaussian_chain(target, config.theta, config.h, noise, samples)
-    else:
-        # The kernels skip per-step input validation: iterates are vetted by
-        # the divergence check below, and the noise stream only emits finite
-        # vectors.
-        if config.theta == 0.0:
-            step = _explicit_kernel(target, 0.0, config.h)
+        raise TypeError("Gaussian chains step in closed form; use run_chain")
+    if not configs:
+        return []
+    theta, eps, n, seed = configs[0].theta, configs[0].eps, configs[0].n_steps, configs[0].seed
+    if any((c.theta, c.eps, c.n_steps, c.seed) != (theta, eps, n, seed) for c in configs):
+        raise ValueError("chains run together must share theta, eps, n_steps and seed")
+    if theta > 0.0:
+        _check_eps(eps)
+    if thin < 1 or burn_in < 0:
+        raise ValueError(f"need thin >= 1 and burn_in >= 0, got {thin} and {burn_in}")
+    x0, noise = _chain_inputs(target, x0, configs, noise)
+    hs = [c.h for c in configs]
+    b, d = len(hs), target.dim
+    terms = _step_terms(theta, hs, d)
+    n_keep = (n - burn_in) // thin + 1 if n >= burn_in else 0
+    # One spare row per chain for an offending iterate past the last kept one.
+    samples = np.empty((b, n_keep + 1, d))
+    lengths = np.full(b, n_keep)
+    steps, diverged = np.full(b, n), np.zeros(b, dtype=bool)
+    if theta > 0.0:
+        iterations, grad_norms = np.zeros((b, n), dtype=int), np.zeros((b, n))
+    x = np.repeat(x0[None], b, axis=0)
+    if burn_in == 0:
+        samples[:, 0] = x
+    # The chains still in the batch, one per row of x; live indexes them, as a
+    # slice until the first divergence.
+    rows, live = np.arange(b), slice(None)
+    slot = 1 if burn_in == 0 else 0  # the next sample row
+    for k in range(n):
+        if k % NOISE_BLOCK == 0:
+            draws = noise.block(k // NOISE_BLOCK)
+        z = draws[k % NOISE_BLOCK]
+        if theta == 0.0:
+            x = _predict(target, x, z, *terms[:2])[0]
         else:
-            step = _newton_kernel(target, config.theta, config.h, config.eps)
-        where = f"theta={config.theta}, h={config.h}"
-        x, kept = x0, n
-        for k in range(n):
-            if k % NOISE_BLOCK == 0:
-                draws = noise.block(k // NOISE_BLOCK)
             try:
-                x, stats = step(x, draws[k % NOISE_BLOCK])
-            except NumericalError as exc:
-                raise NumericalError(f"inner solver failed at {where}, step {k}: {exc}") from exc
-            if stats is not None:
-                if not stats.converged:
-                    raise NumericalError(
-                        f"inner solver failed at {where}, step {k}: "
-                        f"grad norm {stats.grad_norm:.3e} > eps {config.eps:.3e} "
-                        f"after {stats.iterations} iterations; chain aborted"
-                    )
-                iterations[k] = stats.iterations
-                grad_norms[k] = stats.grad_norm
-            samples[k + 1] = x
-            if _diverged(x):
-                kept = k + 1
+                x, its, sq = _implicit_step(target, x, z, theta, terms, eps)
+            except _RowFailure as exc:
+                raise NumericalError(f"inner solver failed at theta={theta}, "
+                                     f"h={hs[rows[exc.row]]}, step {k}: {exc}") from exc
+            norms = np.sqrt(sq)
+            if not _all(norms <= eps):
+                row = int(np.argmin(norms <= eps))
+                raise NumericalError(
+                    f"inner solver failed at theta={theta}, h={hs[rows[row]]}, "
+                    f"step {k}: grad norm {norms[row]:.3e} > eps {eps:.3e} "
+                    f"after {its[row]} iterations; chain aborted")
+            iterations[live, k], grad_norms[live, k] = its, norms
+        kept = k + 1 >= burn_in and (k + 1 - burn_in) % thin == 0
+        if kept:
+            samples[live, slot] = x
+        within = _row_sq(x) <= DIVERGENCE_THRESHOLD**2
+        if not _all(within):
+            # A diverged chain ends with its offending iterate.
+            bad = ~within
+            gone = rows[bad]
+            if not kept:
+                samples[gone, slot] = x[bad]
+            lengths[gone], steps[gone], diverged[gone] = slot + 1, k + 1, True
+            rows = live = rows[~bad]
+            x, terms = x[~bad], tuple(t[~bad] for t in terms)
+            if not rows.size:
                 break
-    return Trajectory(samples=samples[: kept + 1], solver_iterations=iterations[:kept],
-                      grad_norms=grad_norms[:kept], diverged=kept > 0 and _diverged(samples[kept]))
+        slot += kept
+    trajectories = []
+    for i in range(b):
+        stats = ((iterations[i, :steps[i]], grad_norms[i, :steps[i]]) if theta > 0.0
+                 else _no_solves(steps[i]))
+        trajectories.append(Trajectory(samples[i, :lengths[i]], *stats,
+                                       diverged=bool(diverged[i])))
+    return trajectories
 
 
 def _diverged(x) -> bool:

@@ -10,18 +10,28 @@ threads.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericalError
 from .optim import SolveProblem, newton_solve
 
 MODE_GRAD_TOL = 1e-10
 
+# A logistic target keeps the products a_i a_j of every pair of design
+# columns, i <= j, when they number at most this many (8 MB): a stack of
+# Hessians is then one (B, n) x (n, pairs) product.
+_PAIR_PRODUCTS_MAX = 1 << 20
+# Logits are capped here before exp: exp(700) is finite (the largest double is
+# about exp(709.8)), and past the cap the sigmoid is below 1e-304 anyway.
+_LOGIT_CAP = 700.0
 
-def _check_point(x, dim: int) -> np.ndarray:
+
+def _check_point(x, dim: int, stack: bool = False) -> np.ndarray:
+    """x as a float vector of length dim, or with stack also an (N, dim)
+    matrix of points; raises on any other shape or a non-finite entry."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"expected a vector of length {dim}, got shape {x.shape}")
+    if x.shape != (dim,) and not (stack and x.ndim == 2 and x.shape[1] == dim):
+        kind = f"a vector of length {dim}" + (f" or an (N, {dim}) matrix" if stack else "")
+        raise ValueError(f"expected {kind}, got shape {x.shape}")
     if np.count_nonzero(np.isfinite(x)) != x.size:
         raise ValueError("input point contains non-finite entries")
     return x
@@ -33,6 +43,10 @@ class TargetDensity:
     Subclasses provide value (up to an additive constant, which sampling never
     needs), the unchecked _gradient/_hessian behind the public gradient/hessian,
     and convexity_bounds(). Both may be passed _shared(x), their common work.
+    The unchecked methods take one point of shape (d,) or a stack of B points,
+    shape (B, d), and return one gradient (B, d) or Hessian (B, d, d) per row;
+    callers validate points once, at the API edge. A returned Hessian may be a
+    read-only view, so callers never edit it in place.
     """
 
     dim: int
@@ -126,10 +140,10 @@ class GaussianTarget(TargetDensity):
         return 0.5 * float(r @ (self.precision @ r))
 
     def _gradient(self, x, shared=None) -> np.ndarray:
-        return self.precision @ (x - self.mean)
+        return (x - self.mean) @ self.precision.T
 
     def _hessian(self, x, shared=None) -> np.ndarray:
-        return self.precision
+        return np.broadcast_to(self.precision, x.shape[:-1] + self.precision.shape)
 
     def convexity_bounds(self) -> tuple[float, float]:
         return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
@@ -148,9 +162,16 @@ class LogisticRegressionTarget(TargetDensity):
     f(x) = sum_i [log(1 + exp(a_i'x)) - b_i a_i'x] + (prior_precision/2)||x||^2
     for design rows a_i and binary labels b_i. The curvature bounds follow the
     spectral sandwich m = prior_precision, M = ||A||^2/4 + prior_precision,
-    with the exact spectral norm ||A|| (largest singular value). The one copy
-    of the design is held as a C-contiguous A' (d x n), so the hot products
-    are x @ A', A' @ r and A' @ (A' * w).T; `design` is a read-only view of it.
+    with the exact spectral norm ||A|| (largest singular value). The design
+    is held as a C-contiguous A' (d x n), of which `design` is a read-only
+    view, and as N', each row a_i negated and signed by its label,
+    s_i = 1 - 2 b_i. The shared work at x is q = 1 / (1 + exp(x @ N')), in
+    place: q_i = sigmoid(s_i a_i'x) is the probability of the label not
+    observed, p_i - b_i = s_i q_i, and the gradient is lambda x - q @ N. The
+    Hessians A' diag(w) A, w = q (1 - q), of a stack come from one product
+    W @ P' with the pair products P of the design's columns, if they fit
+    _PAIR_PRODUCTS_MAX, and otherwise from S @ S' with S = A' * sqrt(w) per
+    row. Both give exactly symmetric Hessians.
     """
 
     def __init__(self, design, labels, prior_precision: float = 1.0):
@@ -167,7 +188,20 @@ class LogisticRegressionTarget(TargetDensity):
             raise ValueError("labels must be 0 or 1")
         if not prior_precision > 0:
             raise ValueError(f"prior precision must be positive, got {prior_precision}")
-        for arr in (design_t, labels):
+        self._pairs = None
+        first, second = np.triu_indices(d)
+        if first.size * n_obs <= _PAIR_PRODUCTS_MAX:
+            # Hessian entries (i, j) and (j, i) both read pair slot[i, j].
+            slot = np.empty((d, d), dtype=np.intp)
+            slot[first, second] = slot[second, first] = np.arange(first.size)
+            self._pairs = design_t[first] * design_t[second]
+            self._pair_slot = slot.ravel()
+            # The prior's share of the packed Hessian: lambda on the diagonal.
+            self._pair_prior = np.where(first == second, float(prior_precision), 0.0)
+        self._signed_t = design_t * (2.0 * labels - 1.0)
+        for arr in (design_t, labels, self._signed_t) + (
+                (self._pairs, self._pair_slot, self._pair_prior) if self._pairs is not None
+                else ()):
             arr.flags.writeable = False
         self.dim = d
         self._design_t = design_t
@@ -185,18 +219,34 @@ class LogisticRegressionTarget(TargetDensity):
                      + 0.5 * self.prior_precision * (x @ x))
 
     def _shared(self, x) -> np.ndarray:
-        return expit(x @ self._design_t)
+        """q = 1 / (1 + exp(x @ N')), with the exponent capped at _LOGIT_CAP,
+        so nothing overflows."""
+        q = x @ self._signed_t
+        np.minimum(q, _LOGIT_CAP, out=q)
+        np.exp(q, out=q)
+        q += 1.0
+        np.reciprocal(q, out=q)
+        return q
 
     def _gradient(self, x, shared=None) -> np.ndarray:
-        p = self._shared(x) if shared is None else shared
-        return self._design_t @ (p - self.labels) + self.prior_precision * x
+        q = self._shared(x) if shared is None else shared
+        return self.prior_precision * x - q @ self._signed_t.T
 
     def _hessian(self, x, shared=None) -> np.ndarray:
-        p = self._shared(x) if shared is None else shared
-        weights = p * (1.0 - p)  # in (0, 1/4]
-        hess = self._design_t @ (self._design_t * weights).T
-        hess.flat[:: self.dim + 1] += self.prior_precision
-        return (hess + hess.T) / 2.0
+        """A' diag(w) A + lambda I with w = q (1 - q) in [0, 1/4], per row."""
+        q = self._shared(x) if shared is None else shared
+        weights = q * (1.0 - q)
+        d = self.dim
+        if self._pairs is not None:
+            packed = weights @ self._pairs.T
+            packed += self._pair_prior
+            return packed.take(self._pair_slot, axis=-1).reshape(x.shape[:-1] + (d, d))
+        # numpy computes S @ S' by a symmetric rank-k update.
+        np.sqrt(weights, out=weights)
+        scaled = self._design_t * weights[..., None, :]
+        hess = scaled @ np.swapaxes(scaled, -1, -2)
+        hess.reshape(hess.shape[:-2] + (d * d,))[..., :: d + 1] += self.prior_precision
+        return hess
 
     def convexity_bounds(self) -> tuple[float, float]:
         return self._bounds

@@ -5,7 +5,8 @@ differences for derivative checks, bisection for scalar root finds, fixed-step
 gradient descent as a cross-check for the Newton solver, the same Newton
 iteration through scipy's checked Cholesky wrappers, the implicit-step
 subproblem gradient from the public target gradient, plain dense algebra for
-spectra, a Cholesky solve for the closed-form Gaussian step, and adaptive 7/15
+spectra, a Cholesky solve for the closed-form Gaussian step, the transition
+log density one point at a time, and adaptive 7/15
 Gauss-Kronrod quadrature of pointwise kernel density estimates for the
 marginal total variation, the same binned-KDE total variation one coordinate
 at a time, the union-grid binned-KDE total variation that per-set grids
@@ -34,6 +35,9 @@ from thetalangevin.samplers import NOISE_BLOCK
 GRADIENT_DESCENT_ITER_CAP = 10_000
 MAX_QUADRATURE_INTERVALS = 1 << 15
 GAUSS_KRONROD_TV_TOL = 1e-8
+# The Gauss-Kronrod total variation integrates this many larger bandwidths
+# beyond the KDE supports' usual ends, so it covers the tails.
+GAUSS_KRONROD_TAIL_BANDWIDTHS = 12.0
 # The grid-length cap of the union-grid mmtv.
 UNION_GRID_MAX_POINTS = 1 << 18
 
@@ -139,6 +143,20 @@ def cho_newton_solve(problem: SolveProblem) -> SolveResult:
     grad_norm = float(np.sqrt(sq))
     return SolveResult(x=x, grad_norm=grad_norm, iterations=iterations,
                        converged=grad_norm <= problem.tol)
+
+
+def point_transition_log_density(target, y, x, theta: float, h: float) -> float:
+    """samplers.transition_log_density one point at a time, through the
+    target's public, checked gradient and Hessian: log det(I + (h theta/2) H(y))
+    plus the log density of N(x - (h(1-theta)/2) grad f(x), h I) at
+    y + (h theta/2) grad f(y)."""
+    d = target.dim
+    chol = np.linalg.cholesky(np.eye(d) + 0.5 * h * theta * target.hessian(y))
+    log_det = 2.0 * float(np.log(np.diag(chol)).sum())
+    mean = x - 0.5 * h * (1.0 - theta) * target.gradient(x)
+    residual = y + 0.5 * h * theta * target.gradient(y) - mean
+    return (log_det - 0.5 * d * (math.log(2.0 * math.pi) + math.log(h))
+            - float(residual @ residual) / (2.0 * h))
 
 
 def cholesky_gaussian_step(target, theta, h):
@@ -307,8 +325,10 @@ def gauss_kronrod(f, a: float, b: float, tol: float) -> tuple[float, float]:
 def gauss_kronrod_marginal_tv(p_col: np.ndarray, q_col: np.ndarray,
                               tol: float = GAUSS_KRONROD_TV_TOL) -> float:
     """Total variation between KDEs of two univariate samples, |p - q|
-    integrated by adaptive Gauss-Kronrod quadrature over the union of the
-    sample ranges expanded by four bandwidths.
+    integrated by adaptive Gauss-Kronrod quadrature over the whole line: the
+    union of the sample ranges expanded by four bandwidths, and
+    GAUSS_KRONROD_TAIL_BANDWIDTHS larger bandwidths more on each side, past
+    which both KDEs hold less than Phi(-16) of their mass.
 
     The range is first cut into panels one (smaller) bandwidth wide, each
     integrated to its share of tol. Started from the whole range, the error
@@ -320,8 +340,9 @@ def gauss_kronrod_marginal_tv(p_col: np.ndarray, q_col: np.ndarray,
     bw_q = silverman_bandwidth(q_col)
     kde_p = kde_marginal(p_col, bw_p)
     kde_q = kde_marginal(q_col, bw_q)
-    lo = min(p_col.min() - 4.0 * bw_p, q_col.min() - 4.0 * bw_q)
-    hi = max(p_col.max() + 4.0 * bw_p, q_col.max() + 4.0 * bw_q)
+    tail = GAUSS_KRONROD_TAIL_BANDWIDTHS * max(bw_p, bw_q)
+    lo = min(p_col.min() - 4.0 * bw_p, q_col.min() - 4.0 * bw_q) - tail
+    hi = max(p_col.max() + 4.0 * bw_p, q_col.max() + 4.0 * bw_q) + tail
     n_panels = math.ceil((hi - lo) / min(bw_p, bw_q))
     edges = np.linspace(lo, hi, n_panels + 1)
     integral = math.fsum(
@@ -388,8 +409,8 @@ def union_grid_marginal_tv(p_col: np.ndarray, q_col: np.ndarray, bw_p: float,
     """The binned-KDE total variation of one coordinate as diagnostics.mmtv
     computed it before per-set grids: both KDEs on one linspace grid from lo
     to hi at _GRID_POINTS_PER_BANDWIDTH points per smaller bandwidth and at
-    most UNION_GRID_MAX_POINTS points; cuts at lo, at the sign changes of the
-    difference and at hi."""
+    most UNION_GRID_MAX_POINTS points; cuts at -inf, at the sign changes of
+    the difference and at +inf."""
     lo, hi = _grid_ends(p_col, q_col, bw_p, bw_q)
     bw_min = min(bw_p, bw_q)
     steps = min(math.ceil((hi - lo) * _GRID_POINTS_PER_BANDWIDTH / bw_min), UNION_GRID_MAX_POINTS)
@@ -404,7 +425,7 @@ def union_grid_marginal_tv(p_col: np.ndarray, q_col: np.ndarray, bw_p: float,
     left, right = nonzero[:-1][flips], nonzero[1:][flips]
     d_left, d_right = diff[left], diff[right]
     crossings = grid[left] + (grid[right] - grid[left]) * (d_left / (d_left - d_right))
-    return _cut_tv(p_col, q_col, bw_p, bw_q, np.concatenate(([lo], crossings, [hi])))
+    return _cut_tv(p_col, q_col, bw_p, bw_q, np.concatenate(([-math.inf], crossings, [math.inf])))
 
 
 def _own_grid(col, bw, bw_min, lo, hi, dx):
@@ -444,8 +465,8 @@ def window_marginal_tv(p_col: np.ndarray, q_col: np.ndarray, bw_p: float, bw_q: 
     """The binned-KDE total variation of one coordinate as diagnostics.mmtv
     computes it, with 1-d transforms: sign changes searched at spacing
     smaller bandwidth / _GRID_POINTS_PER_BANDWIDTH from lo, in the window
-    where both KDEs reach past the sign floor; cuts at lo, the crossings,
-    hi, and at a window end inside (lo, hi) where the sign beyond it (that of
+    where both KDEs reach past the sign floor; cuts at -inf, the crossings,
+    +inf, and at a window end inside (lo, hi) where the sign beyond it (that of
     the one KDE that reaches there) differs from the nearest kept sign
     inside or no point inside is kept (the ends swapped when the window is
     empty)."""
@@ -473,7 +494,7 @@ def window_marginal_tv(p_col: np.ndarray, q_col: np.ndarray, bw_p: float, bw_q: 
         crossings = list(g_left + (g_right - g_left) * (d_left / (d_left - d_right)))
     cut_lo, cut_hi = beyond_lo not in (0, inside_lo), beyond_hi not in (0, inside_hi)
     w_lo, w_hi = min(w_lo, w_hi), max(w_lo, w_hi)
-    cuts = [lo] + [w_lo] * cut_lo + crossings + [w_hi] * cut_hi + [hi]
+    cuts = [-math.inf] + [w_lo] * cut_lo + crossings + [w_hi] * cut_hi + [math.inf]
     return _cut_tv(p_col, q_col, bw_p, bw_q, np.array(cuts))
 
 

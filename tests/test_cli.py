@@ -21,7 +21,7 @@ from thetalangevin import (
     step_size_heuristic,
     transition_log_density,
 )
-from thetalangevin import cli
+from thetalangevin import cli, targets
 from thetalangevin.cli import (
     ExperimentConfig,
     _coerce_config_values,
@@ -34,6 +34,8 @@ from thetalangevin.cli import (
     run_sweep,
     write_rows,
 )
+
+from oracles import point_transition_log_density
 
 
 def small_gaussian_config(**kwargs):
@@ -379,6 +381,29 @@ def test_contour_logistic_dataset_adapts_to_anisotropy(tmp_path):
     assert all(np.isfinite(lp) for _, _, _, lp in rows)
 
 
+def test_contour_matches_per_point_oracle(tmp_path):
+    # The grid is scored in stacks; BLAS may sum a stack's products in another
+    # order than one point's, so values agree to 1e-12 relative, not bit for bit.
+    dataset = tmp_path / "one_feature.csv"
+    write_synthetic_dataset(dataset, n_obs=50, dim=1, seed=3)
+    configs = [ExperimentConfig(kind="contour", kappa=25.0, thetas=(0.0, 0.5, 1.0),
+                                h_values=(10.0,), seed=1, grid_count=40, span=15.0),
+               ExperimentConfig(kind="contour", dataset=str(dataset), thetas=(0.0, 0.5, 1.0),
+                                h_values=(2.0,), seed=3, grid_count=37, span=3.0)]
+    for config in configs:
+        target = build_contour_target(config)
+        rows = run_kernel_contour(config, target)
+        source = targets.mode(target)
+        axis = np.linspace(-config.span, config.span, config.grid_count)
+        expected = [(theta, *(source + [gx, gy])) for theta in config.thetas
+                    for gx in axis for gy in axis]
+        assert [row[:3] for row in rows] == expected
+        for theta, x, y, log_p in rows:
+            oracle = point_transition_log_density(target, np.array([x, y]), source, theta,
+                                                  config.h_values[0])
+            assert abs(log_p - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
 def test_cli_contour_writes_grid(tmp_path):
     out = tmp_path / "contour.csv"
     assert main(["contour", "--kappa", "4", "--theta", "0", "--h", "1.0",
@@ -715,6 +740,36 @@ def test_import_cli_leaves_scipy_stats_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_import_cli_leaves_scipy_linalg_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, thetalangevin.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_logistic_sweep_leaves_scipy_linalg_unloaded(tmp_path):
+    # Its chains, reference chain included, step on numpy's LAPACK.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    dataset, out = tmp_path / "synthetic.csv", tmp_path / "rows.csv"
+    write_synthetic_dataset(dataset, n_obs=40, dim=2, seed=2)
+    code = ("import sys\n"
+            "from thetalangevin.cli import main\n"
+            f"code = main(['logistic', '--dataset', {str(dataset)!r}, '--theta', '0',\n"
+            "             '--theta', '0.5', '--h', '0.1', '--h', '1', '--samples', '30',\n"
+            "             '--thin', '2', '--ref-thin', '2', '--seed', '1',\n"
+            f"             '--out', {str(out)!r}])\n"
+            "print(code, 'scipy.linalg' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "0 False"
+    assert len(out.read_text().splitlines()) == 5
 
 
 def test_gaussian_sweep_leaves_scipy_stats_unloaded(tmp_path):

@@ -15,6 +15,7 @@ from thetalangevin import (
     iila_step,
     ila_step_gaussian,
     run_chain,
+    run_chains,
     transition_log_density,
     ula_step,
 )
@@ -396,6 +397,65 @@ def test_run_chain_matches_manual_step_loop(theta):
     np.testing.assert_array_equal(traj.grad_norms, grad_norms)
 
 
+def _assert_rows_match_lone_chains(target, configs, thin=1, burn_in=0):
+    """The gate for batched chains: each row of run_chains has its lone
+    run_chain's diverged flag, steps and inner iterations at every step, and
+    its kept samples within 1e-10 relative; a diverged row ends with the
+    offending iterate."""
+    x0 = np.full(target.dim, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        batch = run_chains(target, x0, configs, thin=thin, burn_in=burn_in)
+        lone = [run_chain(target, x0, config) for config in configs]
+    for row, alone in zip(batch, lone):
+        assert row.diverged == alone.diverged
+        assert row.n_steps == alone.n_steps
+        np.testing.assert_array_equal(row.solver_iterations, alone.solver_iterations)
+        assert (row.grad_norms <= configs[0].eps).all()
+        expected = alone.samples[burn_in::thin]
+        if alone.diverged and (alone.n_steps < burn_in or (alone.n_steps - burn_in) % thin):
+            expected = np.vstack([expected, alone.samples[-1]])
+        assert row.samples.shape == expected.shape
+        distance = np.linalg.norm(row.samples - expected, axis=1)
+        assert (distance <= 1e-10 * np.linalg.norm(expected, axis=1)).all()
+    return batch
+
+
+@pytest.mark.parametrize("thin, burn_in", [(1, 0), (3, 5)])
+def test_run_chains_row_diverging_mid_block_leaves_other_rows_as_alone(thin, burn_in):
+    # h = 4.12 diverges at step 374, inside the second noise block; the other
+    # rows run on across two block boundaries without it.
+    target = make_logistic(n_obs=25, dim=3, seed=13)
+    configs = [SamplerConfig(theta=0.0, h=h, n_steps=3 * NOISE_BLOCK, seed=33)
+               for h in (0.02, 4.12, 0.3, 1.5)]
+    batch = _assert_rows_match_lone_chains(target, configs, thin, burn_in)
+    assert [row.diverged for row in batch] == [False, True, False, False]
+    assert NOISE_BLOCK < batch[1].n_steps < 2 * NOISE_BLOCK
+    assert batch[0].samples.shape == ((3 * NOISE_BLOCK - burn_in) // thin + 1, 3)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_run_chains_newton_rows_match_lone_chains(theta):
+    target = make_logistic(n_obs=60, dim=4, seed=17)
+    big_m = target.convexity_bounds()[1]
+    configs = [SamplerConfig(theta=theta, h=h, eps=1e-9, n_steps=NOISE_BLOCK + 40, seed=8)
+               for h in (0.02, 0.5 / big_m, 50.0 / big_m, 3.0)]
+    batch = _assert_rows_match_lone_chains(target, configs)
+    # The rows take different numbers of Newton iterations, so rows leave the
+    # batch's solve at different iterations.
+    assert len({int(row.solver_iterations.sum()) for row in batch}) > 1
+
+
+def test_run_chains_rejects_mixed_configs_and_gaussian_targets():
+    target = make_logistic(n_obs=10, dim=2, seed=15)
+    configs = [SamplerConfig(theta=theta, h=0.1, n_steps=3) for theta in (0.5, 1.0)]
+    with pytest.raises(ValueError, match="must share theta"):
+        run_chains(target, np.zeros(2), configs)
+    with pytest.raises(TypeError, match="use run_chain"):
+        run_chains(gaussian_1d(), np.zeros(1), configs[:1])
+    assert run_chains(target, np.zeros(2), []) == []
+
+
 def test_run_chain_common_noise_across_grid():
     # With Q = I each step is x_{k+1} = a x_k + b z_k, so every grid chain's
     # noise can be recovered and checked against the shared stream.
@@ -448,7 +508,7 @@ class _BrokenHessianTarget(TargetDensity):
         return np.array(x, dtype=float)
 
     def _hessian(self, x, shared=None):
-        return self._hess.copy()
+        return np.broadcast_to(self._hess, x.shape[:-1] + self._hess.shape)
 
     def convexity_bounds(self):
         return 1.0, 1.0
@@ -467,6 +527,17 @@ def test_run_chain_names_grid_point_on_newton_failures(hessian, reason):
     assert str(excinfo.value) == f"inner solver failed at theta=1.0, h=1.0, step 0: {reason}"
     assert isinstance(excinfo.value.__cause__, NumericalError)
     assert str(excinfo.value.__cause__) == reason
+
+
+def test_run_chains_names_the_row_whose_newton_solve_fails():
+    # With Hessian -I the subproblem Hessian theta H + (2/h) I is indefinite
+    # only for h > 2 / theta: the batch's second row, at h = 5.
+    target = _BrokenHessianTarget(-np.eye(2))
+    configs = [SamplerConfig(theta=1.0, h=h, n_steps=5, seed=2) for h in (0.1, 5.0, 0.2)]
+    with pytest.raises(NumericalError, match=r"inner solver failed at theta=1\.0, h=5\.0, "
+                                             r"step 0: Cholesky factorization failed"):
+        run_chains(target, np.zeros(2), configs)
+    run_chains(target, np.zeros(2), configs[::2])
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])

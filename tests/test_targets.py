@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from thetalangevin import (
     load_dataset,
     mode,
     standardize_design,
+    targets,
 )
 
 from oracles import fd_gradient, fd_jacobian
@@ -253,6 +255,53 @@ def test_unchecked_derivatives_equal_public_methods(target):
             expected = public(x)
             np.testing.assert_array_equal(unchecked(x), expected)
             np.testing.assert_array_equal(unchecked(x, shared), expected)
+
+
+@pytest.mark.parametrize("target", CHECKED_TARGETS, ids=["gaussian", "logistic"])
+def test_unchecked_derivatives_on_a_stack_match_checked_points(target):
+    # One (B, d) call gives every row's gradient and Hessian. BLAS may sum a
+    # stack's products in another order than one point's, so rows agree with
+    # the checked per-point methods to 1e-13 relative, not bit for bit.
+    x = 3.0 * np.random.default_rng(15).standard_normal((7, 3))
+    shared = target._shared(x)
+    for unchecked, public in ((target._gradient, target.gradient),
+                              (target._hessian, target.hessian)):
+        for stacked in (unchecked(x), unchecked(x, shared)):
+            assert stacked.shape == (7,) + public(x[0]).shape
+            for row, point in zip(stacked, x):
+                expected = public(point)
+                assert np.linalg.norm(row - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_logistic_extreme_logits_stay_finite_without_warnings():
+    # Logits of +-800: exp(800) overflows a double, so the sigmoid caps them.
+    target = LogisticRegressionTarget(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), 1.0)
+    x = np.array([[800.0], [-800.0], [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shared = target._shared(x)
+        grad, hess = target._gradient(x, shared), target._hessian(x, shared)
+        values = [target.value(point) for point in x]
+    assert np.isfinite(shared).all() and np.isfinite(values).all()
+    np.testing.assert_array_equal(grad, [[800.0], [-802.0], [-1.0]])
+    np.testing.assert_array_equal(hess, [[[1.0]], [[1.0]], [[1.5]]])
+
+
+@pytest.mark.parametrize("pairs", [True, False], ids=["pair-products", "rank-k"])
+def test_logistic_stacked_hessian_exactly_symmetric(monkeypatch, pairs):
+    # A design whose pair products exceed the cap takes the S S' form.
+    if not pairs:
+        monkeypatch.setattr(targets, "_PAIR_PRODUCTS_MAX", 0)
+    target = make_logistic(n_obs=200, dim=7, seed=16)
+    assert (target._pairs is not None) == pairs
+    x = 2.0 * np.random.default_rng(17).standard_normal((9, 7))
+    hess = target._hessian(x)
+    np.testing.assert_array_equal(hess, np.swapaxes(hess, 1, 2))
+    np.testing.assert_array_equal(target.hessian(x[0]), target.hessian(x[0]).T)
+    for row, point in zip(hess, x):
+        p = 1.0 / (1.0 + np.exp(-(target.design @ point)))
+        expected = target.design.T @ (target.design * (p * (1.0 - p))[:, None]) + np.eye(7)
+        assert np.linalg.norm(row - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("target", CHECKED_TARGETS, ids=["gaussian", "logistic"])
