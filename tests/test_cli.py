@@ -719,9 +719,15 @@ def test_cli_empty_h_grid_builds_reference_once_and_runs_no_grid_chain(tmp_path,
     def no_grid_row(*args, **kwargs):
         raise AssertionError("a grid chain ran with --h-count 0")
 
+    def no_grid_chains(target, x0, configs, **kwargs):
+        if configs:
+            raise AssertionError("a grid chain ran with --h-count 0")
+        return []
+
     monkeypatch.setattr(diagnostics.Reference, "from_samples",
                         classmethod(counting_from_samples))
     monkeypatch.setattr(cli, "run_chain", counting_run_chain)
+    monkeypatch.setattr(cli, "run_chains", no_grid_chains)
     monkeypatch.setattr(cli, "_grid_row", no_grid_row)
     out = tmp_path / "rows.csv"
     assert main([kind, "--theta", "0", "--theta", "0.5", "--h-count", "0",
