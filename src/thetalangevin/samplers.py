@@ -21,11 +21,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-# The gufuncs of numpy's LAPACK that np.linalg.cholesky and np.linalg.solve
-# call. At d = 10 the wrappers' argument checks and error-state setup cost
-# as much per call as the factorization itself (3 to 7 us), which made a lone
-# chain's Newton steps 14% slower; the iterations call the gufuncs directly.
-from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
 from .optim import (_ARMIJO_FACTOR, _BACKTRACK_RATIO, _MAX_BACKTRACKS, NEWTON_ITER_CAP,
@@ -142,6 +137,25 @@ def _step_terms(theta: float, hs, dim: int) -> tuple:
     return 0.5 * h * (1.0 - theta), np.sqrt(h), scale, scale[:, :, None] * np.eye(dim)
 
 
+def _cholesky_public(a):
+    return np.linalg.cholesky(a)
+
+
+def _solve_public(a, b):
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+# The Newton iterations call the gufuncs of numpy's LAPACK that
+# np.linalg.cholesky and np.linalg.solve wrap. At d = 10 the wrappers' argument
+# checks and error-state setup cost as much per call as the factorization
+# itself (3 to 7 us), which made a lone chain's Newton steps 14% slower. The
+# module is private to numpy, so a numpy without it gets the wrappers.
+try:
+    from numpy.linalg._umath_linalg import cholesky_lo as _cholesky, solve1 as _solve
+except ImportError:
+    _cholesky, _solve = _cholesky_public, _solve_public
+
+
 def _row_sq(a):
     """Squared norm of each row."""
     return (a * a).sum(axis=1)
@@ -198,11 +212,11 @@ def _newton(target: TargetDensity, theta: float, scale, shift, v, u, shared, g, 
 
     A row leaves the batch once its gradient norm reaches tol, once no step
     length passes the Armijo test on |g|^2, or at NEWTON_ITER_CAP iterations;
-    the batch is compacted only when some row leaves. Each iteration factors
-    the stack of subproblem Hessians theta H + shift, shift = scale I, once,
-    with numpy's LAPACK Cholesky (the positive-definite check), and solves the
-    stack once. Returns the final points, iterations and squared gradient
-    norms.
+    the batch is compacted only when some row leaves. Each iteration checks
+    that the stack of subproblem Hessians theta H + shift, shift = scale I, is
+    positive definite with numpy's LAPACK Cholesky, whose factor is not kept,
+    and then solves the stack by LU. Returns the final points, iterations and
+    squared gradient norms.
     """
     b = u.shape[0]
     tol2, armijo = tol * tol, 1.0 - 2.0 * _ARMIJO_FACTOR
@@ -227,14 +241,15 @@ def _newton(target: TargetDensity, theta: float, scale, shift, v, u, shared, g, 
     while rows.size and it < NEWTON_ITER_CAP:
         jac = theta * target._hessian(u, shared) + shift
         try:
-            # A matrix that is not positive definite sets the invalid flag.
+            # A matrix that is not positive definite sets the invalid flag
+            # of the gufunc, or makes the wrapper raise.
             with np.errstate(invalid="raise"):
-                _umath_linalg.cholesky_lo(jac)
-        except FloatingPointError:
+                _cholesky(jac)
+        except (FloatingPointError, np.linalg.LinAlgError):
             raise _RowFailure(rows[_first_indefinite(jac)],
                               f"Cholesky factorization failed at iteration {it}; "
                               "Hessian is not positive definite") from None
-        step = _umath_linalg.solve1(jac, g)
+        step = _solve(jac, g)
         # LAPACK factors NaN without complaint. A finite sum clears every
         # row at once; one that overflowed without a bad entry passes too.
         if not math.isfinite(step.sum()):
@@ -417,9 +432,10 @@ def stability_bound(theta: float, m: float, big_m: float) -> float:
     return 4.0 * m / (big_m**2 * (1.0 - 2.0 * theta))
 
 
-def _chain_inputs(target: TargetDensity, x0, configs, noise):
+def _chain_inputs(target: TargetDensity, x0, configs, noise, stacklevel: int):
     """Validated x0 and the noise stream (seeded by the configs if None),
-    after warning for each config in the explicit method's unstable regime."""
+    after warning for each config in the explicit method's unstable regime;
+    stacklevel counts the frames up to the public function's caller."""
     x0 = _check_point(x0, target.dim)
     m, big_m = target.convexity_bounds()
     for config in configs:
@@ -428,7 +444,7 @@ def _chain_inputs(target: TargetDensity, x0, configs, noise):
             warnings.warn(
                 f"theta={config.theta} < 1/2 with h={config.h} >= {bound:.6g}: "
                 "outside the guaranteed-stability regime; the chain may diverge",
-                StabilityWarning, stacklevel=3,
+                StabilityWarning, stacklevel=stacklevel,
             )
     if noise is None:
         noise = NoiseStream(configs[0].seed, target.dim)
@@ -450,8 +466,8 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
     (theta, h) and the step, instead of contaminating the trajectory.
     """
     if not isinstance(target, GaussianTarget):
-        return run_chains(target, x0, [config], noise)[0]
-    x0, noise = _chain_inputs(target, x0, [config], noise)
+        return _run_batch(target, x0, [config], noise, 1, 0, stacklevel=4)[0]
+    x0, noise = _chain_inputs(target, x0, [config], noise, stacklevel=3)
     n = config.n_steps
     samples = np.empty((n + 1, target.dim))
     samples[0] = x0
@@ -477,6 +493,12 @@ def run_chains(target: TargetDensity, x0, configs, noise: NoiseStream | None = N
     """
     if isinstance(target, GaussianTarget):
         raise TypeError("Gaussian chains step in closed form; use run_chain")
+    return _run_batch(target, x0, configs, noise, thin, burn_in, stacklevel=4)
+
+
+def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, thin: int,
+               burn_in: int, stacklevel: int) -> list[Trajectory]:
+    """run_chains past its Gaussian check; stacklevel as in _chain_inputs."""
     if not configs:
         return []
     theta, eps, n, seed = configs[0].theta, configs[0].eps, configs[0].n_steps, configs[0].seed
@@ -486,7 +508,7 @@ def run_chains(target: TargetDensity, x0, configs, noise: NoiseStream | None = N
         _check_eps(eps)
     if thin < 1 or burn_in < 0:
         raise ValueError(f"need thin >= 1 and burn_in >= 0, got {thin} and {burn_in}")
-    x0, noise = _chain_inputs(target, x0, configs, noise)
+    x0, noise = _chain_inputs(target, x0, configs, noise, stacklevel)
     hs = [c.h for c in configs]
     b, d = len(hs), target.dim
     terms = _step_terms(theta, hs, d)

@@ -19,6 +19,7 @@ from thetalangevin import (
     transition_log_density,
     ula_step,
 )
+from thetalangevin import samplers
 from thetalangevin.cli import build_gaussian_target
 from thetalangevin.optim import SolveProblem
 from thetalangevin.samplers import (DIVERGENCE_THRESHOLD, NOISE_BLOCK, _gaussian_kernel,
@@ -540,6 +541,26 @@ def test_run_chains_names_the_row_whose_newton_solve_fails():
     run_chains(target, np.zeros(2), configs[::2])
 
 
+def test_newton_on_public_linalg_wrappers_matches_private_gufuncs(monkeypatch):
+    # A numpy without the private LAPACK gufuncs runs np.linalg.cholesky and
+    # np.linalg.solve instead: the same iterations, samples within 1e-10
+    # relative, and the same failures.
+    target = make_logistic(n_obs=60, dim=4, seed=17)
+    configs = [SamplerConfig(theta=0.5, h=h, n_steps=40, seed=8) for h in (0.02, 0.5, 3.0)]
+    gufuncs = run_chains(target, np.zeros(4), configs)
+    monkeypatch.setattr(samplers, "_cholesky", samplers._cholesky_public)
+    monkeypatch.setattr(samplers, "_solve", samplers._solve_public)
+    for row, alone in zip(run_chains(target, np.zeros(4), configs), gufuncs):
+        np.testing.assert_array_equal(row.solver_iterations, alone.solver_iterations)
+        distance = np.linalg.norm(row.samples - alone.samples, axis=1)
+        assert (distance <= 1e-10 * np.linalg.norm(alone.samples, axis=1)).all()
+    configs = [SamplerConfig(theta=1.0, h=h, n_steps=5, seed=2) for h in (0.1, 5.0)]
+    for hessian, reason in ((-np.eye(2), "h=5.0, step 0: Cholesky factorization failed"),
+                            (np.full((2, 2), np.nan), "h=0.1, step 0: Newton step is not finite")):
+        with pytest.raises(NumericalError, match=reason):
+            run_chains(_BrokenHessianTarget(hessian), np.zeros(2), configs)
+
+
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_newton_from_current_point_beats_predictor_start_at_large_h(theta):
     # At h M >= 50 the explicit predictor v is a poor start. The chain's Newton
@@ -675,3 +696,16 @@ def test_stability_warning_only_in_unstable_regime():
         warnings.simplefilter("error")
         run_chain(target, np.zeros(1), SamplerConfig(theta=0.5, h=100.0, n_steps=2))
         run_chain(target, np.zeros(1), SamplerConfig(theta=0.0, h=1.0, n_steps=2))
+
+
+def test_stability_warning_names_the_callers_line():
+    # A lone logistic chain runs as a batch of one; its warning still names
+    # the line that called run_chain, as a Gaussian chain's does.
+    config = SamplerConfig(theta=0.0, h=100.0, n_steps=2)
+    logistic = make_logistic(n_obs=10, dim=1, seed=15)
+    for call in (lambda: run_chain(gaussian_1d(), np.zeros(1), config),
+                 lambda: run_chain(logistic, np.zeros(1), config),
+                 lambda: run_chains(logistic, np.zeros(1), [config])):
+        with pytest.warns(StabilityWarning) as record:
+            call()
+        assert record[0].filename == __file__
