@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diagnostics, matrixgen, targets, theory
 from .diagnostics import SampleSet
-from .errors import NumericalError
+from .errors import DegenerateBandwidthError, NumericalError
 from .samplers import (
     NoiseStream,
     SamplerConfig,
@@ -177,13 +177,19 @@ def _row_chains(target, config: ExperimentConfig, theta: float, h_grid):
 def _grid_row(theta: float, h: float, trajectory, reference: diagnostics.Reference,
               compute_mmtv: bool = True) -> GridRow:
     """Score the chain at (theta, h) against the reference: its kept samples
-    after the first (the state at the end of burn-in)."""
+    after the first (the state at the end of burn-in). A chain that leaves
+    no kernel bandwidth (DegenerateBandwidthError) gets a nan row and one
+    stderr line; any other diagnostics error is raised, naming the point."""
     if trajectory.diverged:
         return GridRow(theta=theta, h=h, mmtv=math.nan, mmd2=math.nan, diverged=True)
     sample_set = SampleSet(trajectory.samples[1:])
     try:
         mmtv_val = diagnostics.mmtv(sample_set, reference) if compute_mmtv else math.nan
         mmd_val = diagnostics.mmd2(sample_set, reference)
+    except DegenerateBandwidthError as exc:
+        print(f"warning: diagnostics failed at theta={theta}, h={h}: {exc}; "
+              "row written as nan", file=sys.stderr)
+        return GridRow(theta=theta, h=h, mmtv=math.nan, mmd2=math.nan, diverged=False)
     except ValueError as exc:
         raise ValueError(f"diagnostics failed at theta={theta}, h={h}: {exc}") from exc
     return GridRow(theta=theta, h=h, mmtv=mmtv_val, mmd2=mmd_val, diverged=False)

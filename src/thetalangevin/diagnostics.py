@@ -52,6 +52,11 @@ from scipy.special import ndtr
 from .errors import DegenerateBandwidthError
 
 MEDIAN_SUBSAMPLE_CAP = 2000
+# median_bandwidth builds the Gram matrix this many rows at a time: at most
+# 4 MB at the subsample cap. Up to this many points the one block is the full
+# product. At the cap the blocks were measured bit-equal to it; in between,
+# BLAS edge kernels can round the last n mod 8 columns differently.
+_GRAM_ROWS = 256
 
 _KERNEL_BLOCK = 1024
 # A folded kernel block exponentiates a.b <= max|a| max|b| of rows scaled by
@@ -115,21 +120,23 @@ def median_bandwidth(q: SampleSet, seed: int = 0) -> float:
         rng = np.random.default_rng((int(seed), points.shape[0]))
         idx = rng.choice(points.shape[0], size=MEDIAN_SUBSAMPLE_CAP, replace=False)
         points = points[np.sort(idx)]
-    # Squared distances of the pairs i < j, row by row (the full matrix and
-    # its index arrays would triple the memory). Only the middle one or two
-    # are clipped at zero and rooted: both maps are monotone, and sqrt is
-    # correctly rounded, so this is the median of all clipped pair distances.
+    # Squared distances of the pairs i < j, row by row, from Gram rows built
+    # _GRAM_ROWS at a time (the full matrix and its index arrays would triple
+    # the memory). Only the middle one or two are clipped at zero and rooted:
+    # both maps are monotone, and sqrt is correctly rounded, so this is the
+    # median of all clipped pair distances.
     sq_norms = np.einsum("ij,ij->i", points, points)
-    gram2 = points @ points.T
-    gram2 *= 2.0
     n = points.shape[0]
     pair_sq = np.empty(n * (n - 1) // 2)
     start = 0
-    for i in range(n - 1):
-        row = pair_sq[start:start + n - 1 - i]
-        np.add(sq_norms[i], sq_norms[i + 1:], out=row)
-        row -= gram2[i, i + 1:]
-        start += row.size
+    for i0 in range(0, n - 1, _GRAM_ROWS):
+        gram2 = points[i0:i0 + _GRAM_ROWS] @ points[i0:].T
+        gram2 *= 2.0
+        for i in range(i0, min(i0 + _GRAM_ROWS, n - 1)):
+            row = pair_sq[start:start + n - 1 - i]
+            np.add(sq_norms[i], sq_norms[i + 1:], out=row)
+            row -= gram2[i - i0, i - i0 + 1:]
+            start += row.size
     half = pair_sq.size // 2
     middle = [half] if pair_sq.size % 2 else [half - 1, half]
     pair_sq.partition(middle)

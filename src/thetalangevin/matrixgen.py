@@ -87,13 +87,10 @@ def random_correlation(eigenvalues, seed: int) -> np.ndarray:
 
 
 def _givens_to_unit_diagonal(m: np.ndarray) -> np.ndarray:
-    """Rotate the C-contiguous symmetric m of trace d, in place, to unit
-    diagonal (Davies and Higham 2000). BLAS drot is imported on first use,
-    so only a sweep that builds a correlation matrix loads scipy.linalg."""
-    from scipy.linalg.blas import drot
-
+    """Rotate the symmetric m of trace d, in place, to unit diagonal (Davies
+    and Higham 2000)."""
     d = m.shape[0]
-    flat, diag = m.ravel(), np.diagonal(m)  # views, so drot rotates m itself
+    diag = np.diagonal(m)
     for i in range(d - 1):
         if diag[i] == 1.0:
             continue
@@ -112,10 +109,38 @@ def _givens_to_unit_diagonal(m: np.ndarray) -> np.ndarray:
             t = (aij + math.copysign(dd, aij)) / ajjd
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = 1.0 if c == 0.0 else c * t
-        for stride, step in ((d, 1), (1, d)):
-            drot(flat, flat, c, -s, n=d, offx=i * stride, incx=step, offy=j * stride,
-                 incy=step, overwrite_x=True, overwrite_y=True)
+        _rotate(m[i], m[j], c, s)
+        _rotate(m[:, i], m[:, j], c, s)
     return m
+
+
+def _rotate(x: np.ndarray, y: np.ndarray, c: float, s: float) -> None:
+    """x, y <- c x - s y, s x + c y in place, rounded as BLAS drot(x, y, c, -s)
+    rounds them: x <- fma(c, x, RN(-s y)) and y <- fma(c, y, RN(s x)).
+
+    One dgemm of [[-s, c, 0], [0, s, c]] with the C-contiguous stack
+    [y; x; y] gives both: dgemm sums each output's terms in k order with FMA,
+    starting from zero, so the product that drot rounds first sits in the
+    first nonzero slot, and the zero slots add exact zeros. numpy sends a
+    one-column product to gemv, which rounds differently, so a lone column is
+    padded to two.
+    """
+    n = x.size
+    stack = np.zeros((3, max(n, 2)))
+    stack[0, :n] = y
+    stack[1, :n] = x
+    stack[2, :n] = y
+    new = (np.array([[-s, c, 0.0], [0.0, s, c]]) @ stack)[:, :n]
+    if not new.all():
+        # A sum started from +0 is never -0, but drot returns -0 where both
+        # products are -0. Wherever the result is zero, the plain sum of the
+        # two rounded products equals drot's, sign included.
+        zero = new[0] == 0.0
+        new[0, zero] = c * x[zero] - s * y[zero]
+        zero = new[1] == 0.0
+        new[1, zero] = c * y[zero] + s * x[zero]
+    x[...] = new[0]
+    y[...] = new[1]
 
 
 def dump_matrix(matrix: np.ndarray, path) -> None:

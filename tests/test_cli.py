@@ -675,8 +675,9 @@ def test_cli_contour_rejects_bad_grid_count_and_span_before_any_work(capsys, mon
         ExperimentConfig(**_coerce_config_values({field: value}))
 
 
-def test_cli_diagnostics_error_names_grid_point(capsys, monkeypatch):
-    # A chain whose second coordinate never moves leaves mmtv no bandwidth.
+def test_cli_diagnostics_error_names_grid_point(tmp_path, capsys, monkeypatch):
+    # A chain whose second coordinate never moves leaves mmtv no bandwidth:
+    # that row is written as nan and the sweep goes on.
     def constant_coordinate_chain(target, x0, config, noise=None):
         samples = np.zeros((config.n_steps + 1, target.dim))
         samples[:, 0] = np.arange(config.n_steps + 1.0)
@@ -684,16 +685,39 @@ def test_cli_diagnostics_error_names_grid_point(capsys, monkeypatch):
                           grad_norms=np.zeros(config.n_steps))
 
     monkeypatch.setattr(cli, "run_chain", constant_coordinate_chain)
+    out = tmp_path / "rows.csv"
+    assert main(_WRITING_ARGV["gaussian"] + ["--h", "2.0", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"warning: diagnostics failed at theta=0.5, h={h}: coordinate 1 of p has zero "
+        "spread; row written as nan" for h in (1.0, 2.0)]
+    assert out.read_text() == "theta,h,mmtv,mmd2,diverged\n0.5,1,nan,nan,0\n0.5,2,nan,nan,0\n"
+    config = ExperimentConfig(kind="gaussian", dim=4, thetas=(0.5,), h_values=(1.0,),
+                              n_samples=60)
+    [row] = run_sweep(config)
+    assert math.isnan(row.mmtv) and math.isnan(row.mmd2) and not row.diverged
+
+
+def test_cli_other_diagnostics_errors_stay_fatal(capsys, monkeypatch):
+    def bad_mmd2(p, q):
+        raise ValueError("dimension mismatch: 4 vs 3")
+
+    monkeypatch.setattr(diagnostics, "mmd2", bad_mmd2)
     assert main(_WRITING_ARGV["gaussian"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("error: diagnostics failed at theta=0.5, h=1.0: coordinate 1 of p has zero spread"
+    assert ("error: diagnostics failed at theta=0.5, h=1.0: dimension mismatch: 4 vs 3"
             in captured.err)
-    config = ExperimentConfig(kind="gaussian", dim=4, thetas=(0.5,), h_values=(1.0,),
-                              n_samples=60)
-    with pytest.raises(ValueError, match="diagnostics failed at theta=0.5") as info:
-        run_sweep(config)
-    assert isinstance(info.value.__cause__, DegenerateBandwidthError)
+    monkeypatch.undo()
+
+    def degenerate_reference(cls, q, seed=0):
+        raise DegenerateBandwidthError("median pairwise distance is zero")
+
+    monkeypatch.setattr(diagnostics.Reference, "from_samples",
+                        classmethod(degenerate_reference))
+    assert main(_WRITING_ARGV["gaussian"]) == 1
+    assert "error: median pairwise distance is zero" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "logistic"])
@@ -738,58 +762,30 @@ def test_cli_empty_h_grid_builds_reference_once_and_runs_no_grid_chain(tmp_path,
     assert calls["chain"] == (1 if kind == "logistic" else 0)
 
 
-def test_import_cli_leaves_scipy_stats_unloaded():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, thetalangevin.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "False"
-
-
-def test_import_cli_leaves_scipy_linalg_unloaded():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, thetalangevin.cli; print('scipy.linalg' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "False"
-
-
-def test_logistic_sweep_leaves_scipy_linalg_unloaded(tmp_path):
-    # Its chains, reference chain included, step on numpy's LAPACK.
+@pytest.mark.parametrize("kind, rows", [("import", None), ("gaussian", 3), ("logistic", 5)])
+def test_cli_leaves_scipy_linalg_and_stats_unloaded(tmp_path, kind, rows):
+    # Importing the CLI loads neither, and neither sweep does: the Givens
+    # rotations run on numpy's dgemm and the chains on numpy's LAPACK.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     dataset, out = tmp_path / "synthetic.csv", tmp_path / "rows.csv"
-    write_synthetic_dataset(dataset, n_obs=40, dim=2, seed=2)
+    argv = {
+        "gaussian": ["gaussian", "--dim", "6", "--kappa", "100", "--theta", "0.5",
+                     "--h-count", "2", "--samples", "50", "--seed", "1"],
+        "logistic": ["logistic", "--dataset", str(dataset), "--theta", "0", "--theta", "0.5",
+                     "--h", "0.1", "--h", "1", "--samples", "30", "--thin", "2",
+                     "--ref-thin", "2", "--seed", "1"],
+    }.get(kind)
+    if kind == "logistic":
+        write_synthetic_dataset(dataset, n_obs=40, dim=2, seed=2)
+    call = "0" if argv is None else f"main({argv + ['--out', str(out)]!r})"
     code = ("import sys\n"
             "from thetalangevin.cli import main\n"
-            f"code = main(['logistic', '--dataset', {str(dataset)!r}, '--theta', '0',\n"
-            "             '--theta', '0.5', '--h', '0.1', '--h', '1', '--samples', '30',\n"
-            "             '--thin', '2', '--ref-thin', '2', '--seed', '1',\n"
-            f"             '--out', {str(out)!r}])\n"
-            "print(code, 'scipy.linalg' in sys.modules)")
+            f"code = {call}\n"
+            "print(code, sorted({'scipy.linalg', 'scipy.stats'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "0 False"
-    assert len(out.read_text().splitlines()) == 5
-
-
-def test_gaussian_sweep_leaves_scipy_stats_unloaded(tmp_path):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = tmp_path / "rows.csv"
-    code = ("import sys\n"
-            "from thetalangevin.cli import main\n"
-            "code = main(['gaussian', '--dim', '6', '--kappa', '100', '--theta', '0.5',\n"
-            "             '--h-count', '2', '--samples', '50', '--seed', '1',\n"
-            f"             '--out', {str(out)!r}])\n"
-            "print(code, 'scipy.stats' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "0 False"
-    assert len(out.read_text().splitlines()) == 3
+    assert result.stdout.strip() == "0 []"
+    if rows is not None:
+        assert len(out.read_text().splitlines()) == rows

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg.blas import drot
 
 from thetalangevin import SpectralModel, exp_decay_spectrum, random_correlation
+from thetalangevin.matrixgen import _rotate
 
 from oracles import scipy_random_correlation
 
@@ -85,3 +89,28 @@ def test_random_correlation_matches_scipy_bit_for_bit(d):
         for seed in range(5):
             assert np.array_equal(random_correlation(lam, seed=seed),
                                   scipy_random_correlation(lam, seed)), (d, kappa, seed)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 17])
+@pytest.mark.parametrize("t", [None, 0.7, -2.3])
+def test_rotate_matches_blas_drot_bit_for_bit(n, t):
+    # t None is the c = 0, s = 1 branch; t < 0 gives a negative s. Some
+    # entries are exact zeros of either sign, which fix the sign of a zero
+    # result.
+    c = 0.0 if t is None else 1.0 / math.sqrt(1.0 + t * t)
+    s = 1.0 if t is None else c * t
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        m = rng.standard_normal((3, n))
+        m[rng.random(m.shape) < 0.3] = 0.0
+        m[rng.random(m.shape) < 0.5] *= -1.0
+        # Rows 0 and 2 of m (contiguous), then columns 0 and 2 of m.T (stride 3).
+        for a, inc, offy, pair in ((m, 1, 2 * n, lambda g: (g[0], g[2])),
+                                   (m.T.copy(), 3, 2, lambda g: (g[:, 0], g[:, 2]))):
+            expected, got = a.copy(), a.copy()
+            flat = expected.ravel()
+            drot(flat, flat, c, -s, n=n, incx=inc, offy=offy, incy=inc,
+                 overwrite_x=True, overwrite_y=True)
+            _rotate(*pair(got), c, s)
+            assert np.array_equal(got, expected), (n, t)
+            assert np.array_equal(np.signbit(got), np.signbit(expected)), (n, t)
