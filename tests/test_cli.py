@@ -762,13 +762,29 @@ def test_cli_empty_h_grid_builds_reference_once_and_runs_no_grid_chain(tmp_path,
     assert calls["chain"] == (1 if kind == "logistic" else 0)
 
 
-@pytest.mark.parametrize("kind, rows", [("import", None), ("gaussian", 3), ("logistic", 5)])
-def test_cli_leaves_scipy_linalg_and_stats_unloaded(tmp_path, kind, rows):
-    # Importing the CLI loads neither, and neither sweep does: the Givens
-    # rotations run on numpy's dgemm and the chains on numpy's LAPACK.
+def _run_cli_subprocess(code):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    return result.stdout.strip()
+
+
+def test_import_cli_leaves_scipy_stats_unloaded():
+    code = "import sys, thetalangevin.cli; print('scipy.stats' in sys.modules)"
+    assert _run_cli_subprocess(code) == "False"
+
+
+def test_import_cli_leaves_scipy_linalg_unloaded():
+    code = "import sys, thetalangevin.cli; print('scipy.linalg' in sys.modules)"
+    assert _run_cli_subprocess(code) == "False"
+
+
+@pytest.mark.parametrize("kind, rows", [("gaussian", 3), ("logistic", 5)])
+def test_cli_leaves_scipy_linalg_and_stats_unloaded(tmp_path, kind, rows):
+    # Neither sweep loads them: the Givens rotations run on numpy's dgemm
+    # and the chains on numpy's LAPACK.
     dataset, out = tmp_path / "synthetic.csv", tmp_path / "rows.csv"
     argv = {
         "gaussian": ["gaussian", "--dim", "6", "--kappa", "100", "--theta", "0.5",
@@ -776,16 +792,12 @@ def test_cli_leaves_scipy_linalg_and_stats_unloaded(tmp_path, kind, rows):
         "logistic": ["logistic", "--dataset", str(dataset), "--theta", "0", "--theta", "0.5",
                      "--h", "0.1", "--h", "1", "--samples", "30", "--thin", "2",
                      "--ref-thin", "2", "--seed", "1"],
-    }.get(kind)
+    }[kind]
     if kind == "logistic":
         write_synthetic_dataset(dataset, n_obs=40, dim=2, seed=2)
-    call = "0" if argv is None else f"main({argv + ['--out', str(out)]!r})"
     code = ("import sys\n"
             "from thetalangevin.cli import main\n"
-            f"code = {call}\n"
+            f"code = main({argv + ['--out', str(out)]!r})\n"
             "print(code, sorted({'scipy.linalg', 'scipy.stats'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "0 []"
-    if rows is not None:
-        assert len(out.read_text().splitlines()) == rows
+    assert _run_cli_subprocess(code) == "0 []"
+    assert len(out.read_text().splitlines()) == rows
