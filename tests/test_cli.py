@@ -801,3 +801,27 @@ def test_cli_leaves_scipy_linalg_and_stats_unloaded(tmp_path, kind, rows):
             "print(code, sorted({'scipy.linalg', 'scipy.stats'} & set(sys.modules)))")
     assert _run_cli_subprocess(code) == "0 []"
     assert len(out.read_text().splitlines()) == rows
+
+
+def test_cli_leaves_scipy_unloaded(tmp_path):
+    # No scipy module at all, after the import and after each sweep: the
+    # normal CDF of mmtv is computed in numpy too.
+    dataset = tmp_path / "synthetic.csv"
+    write_synthetic_dataset(dataset, n_obs=40, dim=2, seed=2)
+    sweeps = [
+        ["gaussian", "--dim", "6", "--kappa", "100", "--theta", "0.5", "--h-count", "2",
+         "--samples", "50", "--seed", "1", "--out", str(tmp_path / "gaussian.csv")],
+        ["logistic", "--dataset", str(dataset), "--theta", "0", "--theta", "0.5", "--h", "0.1",
+         "--h", "1", "--samples", "30", "--thin", "2", "--ref-thin", "2", "--seed", "1",
+         "--out", str(tmp_path / "logistic.csv")],
+    ]
+    code = ("import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "from thetalangevin.cli import main\n"
+            "print(scipy_modules())\n"
+            f"for argv in {sweeps!r}:\n"
+            "    print(main(argv), scipy_modules())\n")
+    assert _run_cli_subprocess(code).splitlines() == ["[]", "0 []", "0 []"]
+    assert len((tmp_path / "gaussian.csv").read_text().splitlines()) == 3
+    assert len((tmp_path / "logistic.csv").read_text().splitlines()) == 5

@@ -330,6 +330,72 @@ def test_mmtv_matches_per_coordinate_oracle_bit_for_bit(monkeypatch):
     assert max(batches) > 1
 
 
+def _ndtr_test_points():
+    """Arguments for the ndtr gate: runs of consecutive doubles and fine steps
+    across every branch edge, of both signs; the outputs that are subnormal
+    or 0 near -37.7; special values; and normal samples at three scales."""
+    rng = np.random.default_rng(18)
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)] + [abs(e) for e in diagnostics._NDTR_EDGES]
+    runs = []
+    for edge in edges:
+        ulps = edge + np.arange(-20_000, 20_000) * np.spacing(edge)
+        steps = edge + np.linspace(-1e-3, 1e-3, 20_001)
+        runs += [ulps, -ulps, steps, -steps]
+    runs.append(-np.linspace(37.5, 37.8, 300_001))
+    runs.append(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308,
+                          5e-324, -5e-324, 2.2e-308, -2.2e-308]))
+    runs += [scale * rng.standard_normal(1_000_000) for scale in (1.0, 5.0, 30.0)]
+    return np.concatenate(runs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ndtr_matches_scipy_bit_for_bit():
+    a = _ndtr_test_points()
+    expected = ndtr(a)
+    chunk = 1 << 16
+    numpy_ndtr = diagnostics._Ndtr(chunk)
+    got = np.empty_like(a)
+    # One set of work arrays, reused chunk after chunk as _kde_cdfs does.
+    for start in range(0, a.size, chunk):
+        numpy_ndtr(a[start:start + chunk], got[start:start + chunk])
+    same = (got == expected) | (np.isnan(got) & np.isnan(expected))
+    assert same.all(), a[~same][:10]
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert (expected == 0.0).any() and (expected[expected > 0] < 2.2e-308).any()
+    # In place, on a 2-D block.
+    block = a[:3 * 5000].reshape(3, 5000).copy()
+    numpy_ndtr(block, block)
+    assert block.tobytes() == got[:block.size].tobytes()
+
+
+def test_kde_cdfs_match_scipy_sums_where_far_terms_decide(monkeypatch):
+    # _kde_cdfs sums each row with its R/S terms (x <= -8) at 0 and at their
+    # bound, and evaluates in full the rows where the two sums differ: here
+    # rows far left of a narrow KDE, which hold only such terms.
+    rng = np.random.default_rng(7)
+    samples = np.asfortranarray(rng.standard_normal((500, 2)))
+    bandwidths = np.array([0.05, 0.4])
+    lo = samples.min(axis=0)
+    x = np.array([-np.inf, lo[0] - 0.6, lo[0] - 0.45, lo[0] - 0.2, 0.0, np.inf,
+                  lo[1] - 6.0, lo[1] - 2.0, 0.3])
+    cols = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1])
+    full_rows = []
+    real_call = diagnostics._Ndtr.__call__
+
+    def counting_call(self, a, out, skip_far=False):
+        if not skip_far:
+            full_rows.append(a.shape[0])
+        return real_call(self, a, out, skip_far)
+
+    monkeypatch.setattr(diagnostics._Ndtr, "__call__", counting_call)
+    got = diagnostics._kde_cdfs(samples, bandwidths, x, cols)
+    for c in (0, 1):
+        rows = cols == c
+        expected = ndtr((x[rows, None] - samples[None, :, c]) / bandwidths[c]).mean(axis=1)
+        assert got[rows].tobytes() == expected.tobytes()
+    assert sum(full_rows) >= 2
+
+
 def test_mmtv_stays_near_union_grid_values(monkeypatch):
     # Per-set grids move a coordinate's value only through the positions of
     # its crossings, which enter the total variation to second order.
