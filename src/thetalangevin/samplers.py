@@ -7,10 +7,11 @@ One step from x with noise z and step size h solves
 theta = 0 is the explicit (forward Euler) update, computable in closed form;
 theta > 0 makes the update implicit. For Gaussian targets every step is a
 closed-form linear map; otherwise each step is a strongly convex subproblem
-solved by Newton to a gradient-norm tolerance. Chains of one theta at several
-step sizes read the same noise, so they advance together as one (B, d)
-state: one batched explicit step, or one batched Newton solve, per step for
-all of them, and a lone chain is a batch of one. The transition kernel
+solved to a gradient-norm tolerance by optim's batched Newton iteration.
+Chains of one theta at several step sizes read the same noise, so they
+advance together as one (B, d) state: one batched explicit step, or one
+batched Newton solve, per step for all of them, and a lone chain is a batch
+of one. The transition kernel
 density of the implicit update is available in closed form for diagnostics.
 """
 
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import optim
 from .errors import NumericalError
-from .optim import (_ARMIJO_FACTOR, _BACKTRACK_RATIO, _MAX_BACKTRACKS, NEWTON_ITER_CAP,
-                    SolveResult)
+from .optim import SolveResult
 from .targets import GaussianTarget, TargetDensity, _check_point
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -64,7 +65,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         _check_theta_h(self.theta, self.h)
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError(f"subproblem tolerance must be >= 0, got {self.eps}")
         if self.n_steps < 0:
             raise ValueError(f"number of steps must be >= 0, got {self.n_steps}")
@@ -129,44 +130,11 @@ def _check_step(target: TargetDensity, x, z, theta: float, h: float):
 
 # Batched step kernels. Points are rows of x, shape (B, d), one per step size;
 # every row reads the same noise vector z. The per-row terms are columns.
-def _step_terms(theta: float, hs, dim: int) -> tuple:
-    """(drift, sqrt_h, scale, shift) = (h(1-theta)/2, sqrt(h), 2/h, (2/h) I)
-    for the step sizes hs: (B, 1) columns and a (B, dim, dim) stack."""
+def _step_terms(theta: float, hs) -> tuple:
+    """(drift, sqrt_h, scale) = (h(1-theta)/2, sqrt(h), 2/h) for the step
+    sizes hs, as (B, 1) columns."""
     h = np.asarray(hs, dtype=float)[:, None]
-    scale = 2.0 / h
-    return 0.5 * h * (1.0 - theta), np.sqrt(h), scale, scale[:, :, None] * np.eye(dim)
-
-
-def _cholesky_public(a):
-    return np.linalg.cholesky(a)
-
-
-def _solve_public(a, b):
-    return np.linalg.solve(a, b[..., None])[..., 0]
-
-
-# The Newton iterations call the gufuncs of numpy's LAPACK that
-# np.linalg.cholesky and np.linalg.solve wrap. At d = 10 the wrappers' argument
-# checks and error-state setup cost as much per call as the factorization
-# itself (3 to 7 us), which made a lone chain's Newton steps 14% slower. The
-# module is private to numpy, so a numpy without it gets the wrappers.
-try:
-    from numpy.linalg._umath_linalg import cholesky_lo as _cholesky, solve1 as _solve
-except ImportError:
-    _cholesky, _solve = _cholesky_public, _solve_public
-
-
-def _row_sq(a):
-    """Squared norm of each row."""
-    return (a * a).sum(axis=1)
-
-
-_NO_ROWS = np.empty(0, dtype=np.intp)
-
-
-def _all(mask) -> bool:
-    # np.count_nonzero costs a fraction of ndarray.all on a few elements.
-    return np.count_nonzero(mask) == mask.size
+    return 0.5 * h * (1.0 - theta), np.sqrt(h), 2.0 / h
 
 
 def _predict(target: TargetDensity, x, z, drift, sqrt_h, shared=None):
@@ -185,136 +153,26 @@ def _implicit_step(target: TargetDensity, x, z, theta: float, terms: tuple, eps:
     far from the subproblem's solution, so x is the better start. The target
     is evaluated at x once: its shared work and gradient give both v and the
     first Newton gradient and Hessian. Returns the next points, the Newton
-    iterations and the final squared gradient norms.
+    iterations and the final squared gradient norms (see optim._newton).
     """
-    drift, sqrt_h, scale, shift = terms
+    drift, sqrt_h, scale = terms
     shared = target._shared(x)
     v, grad = _predict(target, x, z, drift, sqrt_h, shared)
-    return _newton(target, theta, scale, shift, v, x, shared, theta * grad + scale * (x - v),
-                   eps)
-
-
-class _RowFailure(NumericalError):
-    """An inner solve failed on one row of a batch."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
-def _take(idx, *arrays) -> list:
-    return [None if a is None else a[idx] for a in arrays]
-
-
-def _newton(target: TargetDensity, theta: float, scale, shift, v, u, shared, g, tol: float):
-    """optim.newton_solve for every row's subproblem at once, started at the
-    rows of u, whose subproblem gradients are g and target work shared.
-
-    A row leaves the batch once its gradient norm reaches tol, once no step
-    length passes the Armijo test on |g|^2, or at NEWTON_ITER_CAP iterations;
-    the batch is compacted only when some row leaves. Each iteration checks
-    that the stack of subproblem Hessians theta H + shift, shift = scale I, is
-    positive definite with numpy's LAPACK Cholesky, whose factor is not kept,
-    and then solves the stack by LU. Returns the final points, iterations and
-    squared gradient norms.
-    """
-    b = u.shape[0]
-    tol2, armijo = tol * tol, 1.0 - 2.0 * _ARMIJO_FACTOR
-    sq = _row_sq(g)
-    its = np.zeros(b, dtype=int)
-    # Rows that leave the batch are written to u_out and sq_out, made when
-    # the first row leaves before the others (as it does at iteration 0).
-    u_out = sq_out = None
-    rows = np.arange(b)
-    live = sq > tol2
-    if not _all(live):
-        u_out, sq_out = u.copy(), sq.copy()
-        rows = rows[live]
-        u, v, g, sq, scale, shift, shared = _take(live, u, v, g, sq, scale, shift, shared)
+    diagonal = target.dim + 1
 
     def evaluate(u, v, scale):
         shared = target._shared(u)
-        g = theta * target._gradient(u, shared) + scale * (u - v)
-        return shared, g, _row_sq(g)
+        return shared, theta * target._gradient(u, shared) + scale * (u - v)
 
-    it = 0
-    while rows.size and it < NEWTON_ITER_CAP:
-        jac = theta * target._hessian(u, shared) + shift
-        try:
-            # A matrix that is not positive definite sets the invalid flag
-            # of the gufunc, or makes the wrapper raise.
-            with np.errstate(invalid="raise"):
-                _cholesky(jac)
-        except (FloatingPointError, np.linalg.LinAlgError):
-            raise _RowFailure(rows[_first_indefinite(jac)],
-                              f"Cholesky factorization failed at iteration {it}; "
-                              "Hessian is not positive definite") from None
-        step = _solve(jac, g)
-        # LAPACK factors NaN without complaint. A finite sum clears every
-        # row at once; one that overflowed without a bad entry passes too.
-        if not math.isfinite(step.sum()):
-            finite = np.isfinite(step).all(axis=1)
-            if not finite.all():
-                raise _RowFailure(rows[np.argmin(finite)],
-                                  f"Newton step is not finite at iteration {it}")
-        u_new = u - step
-        shared_new, g_new, sq_new = evaluate(u_new, v, scale)
-        stalled = _NO_ROWS
-        ok = sq_new <= sq * armijo
-        if not _all(ok):
-            back, t = np.flatnonzero(~ok), 1.0
-            for _ in range(_MAX_BACKTRACKS - 1):
-                t *= _BACKTRACK_RATIO
-                u_try = u[back] - t * step[back]
-                shared_try, g_try, sq_try = evaluate(u_try, v[back], scale[back])
-                passed = sq_try <= sq[back] * (1.0 - 2.0 * _ARMIJO_FACTOR * t)
-                at = back[passed]
-                u_new[at], g_new[at], sq_new[at] = u_try[passed], g_try[passed], sq_try[passed]
-                if shared is not None:
-                    shared_new[at] = shared_try[passed]
-                back = back[~passed]
-                if not back.size:
-                    break
-            # No productive step length left; |g| is at the numerical floor.
-            stalled = back
-        it += 1
-        done = sq_new <= tol2
-        if stalled.size:
-            done[stalled] = True
-        if not np.count_nonzero(done):
-            u, g, sq, shared = u_new, g_new, sq_new, shared_new
-            continue
-        if u_out is None:
-            if _all(done) and not stalled.size:  # every row leaves at once
-                its[:] = it
-                return u_new, its, sq_new
-            u_out, sq_out = np.empty_like(u_new), np.empty_like(sq_new)
-        at = rows[done]
-        u_out[at], sq_out[at], its[at] = u_new[done], sq_new[done], it
-        if stalled.size:
-            at = rows[stalled]
-            u_out[at], sq_out[at], its[at] = u[stalled], sq[stalled], it - 1
-        if _all(done):
-            return u_out, its, sq_out
-        keep = ~done
-        rows = rows[keep]
-        u, v, g, sq, scale, shift, shared = _take(keep, u_new, v, g_new, sq_new, scale, shift,
-                                                  shared_new)
-    its[rows] = it
-    if u_out is None:
-        return u, its, sq
-    u_out[rows], sq_out[rows] = u, sq
-    return u_out, its, sq_out
+    def jacobian(u, shared, v, scale):
+        # theta H + (2/h) I, with 2/h added on the diagonal of a C-ordered
+        # product, so the flat view below is the product itself.
+        jac = np.multiply(theta, target._hessian(u, shared), order="C")
+        jac.reshape(len(u), -1)[:, ::diagonal] += scale
+        return jac
 
-
-def _first_indefinite(matrices) -> int:
-    """Index of the first matrix of a stack that Cholesky refuses."""
-    for i, matrix in enumerate(matrices):
-        try:
-            np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            return i
-    raise AssertionError("every matrix factors")
+    return optim._newton(evaluate, jacobian, x, shared, theta * grad + scale * (x - v), eps,
+                         (v, scale))
 
 
 def _gaussian_coefficients(target: GaussianTarget, theta: float, h: float):
@@ -352,7 +210,7 @@ def explicit_predictor(target: TargetDensity, x, z, theta: float, h: float) -> n
     update when theta = 0. The inner solver starts at x, not at v.
     """
     x, z = _check_step(target, x, z, theta, h)
-    drift, sqrt_h = _step_terms(theta, [h], target.dim)[:2]
+    drift, sqrt_h = _step_terms(theta, [h])[:2]
     return _predict(target, x[None], z, drift, sqrt_h)[0][0]
 
 
@@ -387,7 +245,7 @@ def iila_step(target: TargetDensity, x, z, config: SamplerConfig) -> tuple[np.nd
     _check_eps(config.eps)
     x, z = _check_step(target, x, z, config.theta, config.h)
     x_next, its, sq = _implicit_step(target, x[None], z, config.theta,
-                                     _step_terms(config.theta, [config.h], target.dim),
+                                     _step_terms(config.theta, [config.h]),
                                      config.eps)
     grad_norm = float(np.sqrt(sq[0]))
     return x_next[0], SolveResult(x=x_next[0], grad_norm=grad_norm, iterations=int(its[0]),
@@ -406,7 +264,7 @@ def transition_log_density(target: TargetDensity, y, x, theta: float, h: float):
     _check_theta_h(theta, h)
     x, ys = _check_point(x, target.dim), _check_point(y, target.dim, stack=True)
     points = ys.reshape(-1, target.dim)
-    drift, sqrt_h = _step_terms(theta, [h], target.dim)[:2]
+    drift, sqrt_h = _step_terms(theta, [h])[:2]
     jac = np.eye(target.dim) + 0.5 * h * theta * target._hessian(points)
     try:
         chol = np.linalg.cholesky(jac)
@@ -417,7 +275,7 @@ def transition_log_density(target: TargetDensity, y, x, theta: float, h: float):
     log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     mean = _predict(target, x[None], 0.0, drift, sqrt_h)[0]
     residual = points + 0.5 * h * theta * target._gradient(points) - mean
-    log_gauss = -0.5 * target.dim * (LOG_2PI + np.log(h)) - _row_sq(residual) / (2.0 * h)
+    log_gauss = -0.5 * target.dim * (LOG_2PI + np.log(h)) - optim._row_sq(residual) / (2.0 * h)
     values = log_det + log_gauss
     return values if ys.ndim == 2 else float(values[0])
 
@@ -485,11 +343,11 @@ def run_chains(target: TargetDensity, x0, configs, noise: NoiseStream | None = N
     so is the noise of each step. Each trajectory keeps the states after
     burn_in + j * thin steps, j = 0, 1, .... theta = 0 takes one batched
     explicit step per step. Otherwise each step is one batched Newton solve
-    (see _newton), whose rows match lone chains up to rounding in the last
-    bits: BLAS may sum a batch's products in another order. A diverged row
-    leaves the batch; a failed inner solve raises NumericalError naming the
-    row's (theta, h) and the step. Gaussian targets have a closed-form step;
-    run_chain runs it, one chain at a time.
+    (see optim._newton), whose rows match lone chains up to rounding in the
+    last bits: BLAS may sum a batch's products in another order. A diverged
+    row leaves the batch; a failed inner solve raises NumericalError naming
+    the row's (theta, h) and the step. Gaussian targets have a closed-form
+    step; run_chain runs it, one chain at a time.
     """
     if isinstance(target, GaussianTarget):
         raise TypeError("Gaussian chains step in closed form; use run_chain")
@@ -511,7 +369,7 @@ def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, th
     x0, noise = _chain_inputs(target, x0, configs, noise, stacklevel)
     hs = [c.h for c in configs]
     b, d = len(hs), target.dim
-    terms = _step_terms(theta, hs, d)
+    terms = _step_terms(theta, hs)
     n_keep = (n - burn_in) // thin + 1 if n >= burn_in else 0
     # One spare row per chain for an offending iterate past the last kept one.
     samples = np.empty((b, n_keep + 1, d))
@@ -535,11 +393,11 @@ def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, th
         else:
             try:
                 x, its, sq = _implicit_step(target, x, z, theta, terms, eps)
-            except _RowFailure as exc:
+            except optim._RowFailure as exc:
                 raise NumericalError(f"inner solver failed at theta={theta}, "
                                      f"h={hs[rows[exc.row]]}, step {k}: {exc}") from exc
             norms = np.sqrt(sq)
-            if not _all(norms <= eps):
+            if not optim._all(norms <= eps):
                 row = int(np.argmin(norms <= eps))
                 raise NumericalError(
                     f"inner solver failed at theta={theta}, h={hs[rows[row]]}, "
@@ -549,8 +407,8 @@ def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, th
         kept = k + 1 >= burn_in and (k + 1 - burn_in) % thin == 0
         if kept:
             samples[live, slot] = x
-        within = _row_sq(x) <= DIVERGENCE_THRESHOLD**2
-        if not _all(within):
+        within = optim._row_sq(x) <= DIVERGENCE_THRESHOLD**2
+        if not optim._all(within):
             # A diverged chain ends with its offending iterate.
             bad = ~within
             gone = rows[bad]

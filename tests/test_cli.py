@@ -804,24 +804,40 @@ def test_cli_leaves_scipy_linalg_and_stats_unloaded(tmp_path, kind, rows):
 
 
 def test_cli_leaves_scipy_unloaded(tmp_path):
-    # No scipy module at all, after the import and after each sweep: the
-    # normal CDF of mmtv is computed in numpy too.
-    dataset = tmp_path / "synthetic.csv"
+    # No scipy module at all, after the import, after each sweep and command,
+    # and after a limit-map solve: the normal CDF of mmtv is computed in numpy,
+    # and so is every Newton solve, including the mode behind both contours.
+    dataset, one_feature = tmp_path / "synthetic.csv", tmp_path / "one_feature.csv"
     write_synthetic_dataset(dataset, n_obs=40, dim=2, seed=2)
-    sweeps = [
+    write_synthetic_dataset(one_feature, n_obs=40, dim=1, seed=2)
+    commands = [
         ["gaussian", "--dim", "6", "--kappa", "100", "--theta", "0.5", "--h-count", "2",
          "--samples", "50", "--seed", "1", "--out", str(tmp_path / "gaussian.csv")],
         ["logistic", "--dataset", str(dataset), "--theta", "0", "--theta", "0.5", "--h", "0.1",
          "--h", "1", "--samples", "30", "--thin", "2", "--ref-thin", "2", "--seed", "1",
          "--out", str(tmp_path / "logistic.csv")],
+        ["heuristic", "--kappa", "100"],
+        ["contour", "--kappa", "25", "--theta", "0.5", "--grid-count", "3",
+         "--out", str(tmp_path / "contour_gaussian.csv")],
+        ["contour", "--dataset", str(one_feature), "--theta", "0.5", "--grid-count", "3",
+         "--out", str(tmp_path / "contour_logistic.csv")],
     ]
-    code = ("import sys\n"
+    code = ("import contextlib, io, sys\n"
+            "import numpy as np\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "from thetalangevin import GaussianTarget, theory\n"
             "from thetalangevin.cli import main\n"
             "print(scipy_modules())\n"
-            f"for argv in {sweeps!r}:\n"
-            "    print(main(argv), scipy_modules())\n")
-    assert _run_cli_subprocess(code).splitlines() == ["[]", "0 []", "0 []"]
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    print(code, scipy_modules())\n"
+            "target = GaussianTarget(np.zeros(2), np.diag([1.0, 4.0]))\n"
+            "u = theory.theta_map(target, np.ones(2), 0.5)\n"
+            "print(u.tolist(), scipy_modules())\n")
+    assert _run_cli_subprocess(code).splitlines() == ["[]"] + ["0 []"] * 5 + ["[-1.0, -1.0] []"]
     assert len((tmp_path / "gaussian.csv").read_text().splitlines()) == 3
     assert len((tmp_path / "logistic.csv").read_text().splitlines()) == 5
+    for name in ("contour_gaussian.csv", "contour_logistic.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) == 10

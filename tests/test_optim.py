@@ -125,6 +125,9 @@ def test_problem_validation(monkeypatch):
     with pytest.raises(ValueError, match="tolerance must be non-negative, got -1e-08"):
         SolveProblem(gradient=lambda x: x, hessian=lambda x: np.eye(1),
                      x0=np.zeros(1), tol=-1e-8)
+    with pytest.raises(ValueError, match="tolerance must be non-negative, got nan"):
+        SolveProblem(gradient=lambda x: x, hessian=lambda x: np.eye(1),
+                     x0=np.zeros(1), tol=np.nan)
     # tol = 0 asks for an exact zero; the iteration cap still ends the solve.
     monkeypatch.setattr(optim, "NEWTON_ITER_CAP", 3)
     grad, hess = logistic_subproblem()
@@ -134,12 +137,13 @@ def test_problem_validation(monkeypatch):
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
-def test_newton_matches_cho_oracle_bit_for_bit_on_logistic_subproblems(theta):
+def test_newton_matches_cho_oracle_on_logistic_subproblems(theta):
     # The oracle solves the subproblem built from the public, checked target
-    # methods with a dense scaled identity; newton_solve must reproduce it bit
-    # for bit. The sampler's step solves the same subproblem on a batch of
-    # one with numpy's LAPACK, which differs from scipy's in the last bits:
-    # it must take the same iterations to a point within 1e-10 relative.
+    # methods with a dense scaled identity, on scipy's Cholesky solve.
+    # newton_solve runs on numpy's LAPACK, whose factorization differs from
+    # scipy's in the last bits: it must take the same iterations to a point
+    # within 1e-12 relative. The sampler's step solves the same subproblem
+    # from the target's unchecked methods: the same iterations, within 1e-10.
     target = make_logistic(n_obs=200, dim=6, seed=21)
     rng = np.random.default_rng(22)
     for h in (0.01, 0.3, 5.0):
@@ -154,9 +158,9 @@ def test_newton_matches_cho_oracle_bit_for_bit_on_logistic_subproblems(theta):
             oracle = cho_newton_solve(problem)
             assert oracle.converged and oracle.iterations > 0
             result = newton_solve(problem)
-            np.testing.assert_array_equal(result.x, oracle.x)
-            assert result.grad_norm == oracle.grad_norm
             assert result.iterations == oracle.iterations
+            assert result.converged and result.grad_norm <= 1e-10
+            assert np.linalg.norm(result.x - oracle.x) <= 1e-12 * np.linalg.norm(oracle.x)
             step = iila_step(target, x, z, config)[1]
             assert step.iterations == oracle.iterations
             assert np.linalg.norm(step.x - oracle.x) <= 1e-10 * np.linalg.norm(oracle.x)

@@ -19,9 +19,9 @@ from thetalangevin import (
     transition_log_density,
     ula_step,
 )
-from thetalangevin import samplers
+from thetalangevin import optim
 from thetalangevin.cli import build_gaussian_target
-from thetalangevin.optim import SolveProblem
+from thetalangevin.optim import SolveProblem, newton_solve
 from thetalangevin.samplers import (DIVERGENCE_THRESHOLD, NOISE_BLOCK, _gaussian_kernel,
                                     explicit_predictor)
 from thetalangevin.targets import TargetDensity
@@ -544,12 +544,12 @@ def test_run_chains_names_the_row_whose_newton_solve_fails():
 def test_newton_on_public_linalg_wrappers_matches_private_gufuncs(monkeypatch):
     # A numpy without the private LAPACK gufuncs runs np.linalg.cholesky and
     # np.linalg.solve instead: the same iterations, samples within 1e-10
-    # relative, and the same failures.
+    # relative, and the same failures, in chains and in newton_solve.
     target = make_logistic(n_obs=60, dim=4, seed=17)
     configs = [SamplerConfig(theta=0.5, h=h, n_steps=40, seed=8) for h in (0.02, 0.5, 3.0)]
     gufuncs = run_chains(target, np.zeros(4), configs)
-    monkeypatch.setattr(samplers, "_cholesky", samplers._cholesky_public)
-    monkeypatch.setattr(samplers, "_solve", samplers._solve_public)
+    monkeypatch.setattr(optim, "_cholesky", optim._cholesky_public)
+    monkeypatch.setattr(optim, "_solve", optim._solve_public)
     for row, alone in zip(run_chains(target, np.zeros(4), configs), gufuncs):
         np.testing.assert_array_equal(row.solver_iterations, alone.solver_iterations)
         distance = np.linalg.norm(row.samples - alone.samples, axis=1)
@@ -559,6 +559,14 @@ def test_newton_on_public_linalg_wrappers_matches_private_gufuncs(monkeypatch):
                             (np.full((2, 2), np.nan), "h=0.1, step 0: Newton step is not finite")):
         with pytest.raises(NumericalError, match=reason):
             run_chains(_BrokenHessianTarget(hessian), np.zeros(2), configs)
+    for hessian, reason in (
+            (lambda x: -np.eye(2), "Cholesky factorization failed at iteration 0"),
+            (lambda x: 2.0 * np.eye(2) if x[0] == 0.0 else np.full((2, 2), np.nan),
+             "Newton step is not finite at iteration 1")):
+        problem = SolveProblem(gradient=lambda x: x - 1.0, hessian=hessian, x0=np.zeros(2),
+                               tol=1e-10)
+        with pytest.raises(NumericalError, match=reason):
+            newton_solve(problem)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -637,6 +645,8 @@ def test_config_validation():
         SamplerConfig(theta=0.5, h=0.0)
     with pytest.raises(ValueError):
         SamplerConfig(theta=0.5, h=1.0, eps=-1.0)
+    with pytest.raises(ValueError, match="subproblem tolerance must be >= 0, got nan"):
+        SamplerConfig(theta=0.5, h=1.0, eps=math.nan)
     with pytest.raises(ValueError):
         SamplerConfig(theta=0.5, h=1.0, n_steps=-1)
 
