@@ -174,8 +174,7 @@ def _row_chains(target, config: ExperimentConfig, theta: float, h_grid):
             for trajectory in (_quiet(run_chain, target, x0, c) for c in chain_configs))
 
 
-def _grid_row(theta: float, h: float, trajectory, reference: diagnostics.Reference,
-              compute_mmtv: bool = True) -> GridRow:
+def _grid_row(theta: float, h: float, trajectory, reference: diagnostics.Reference) -> GridRow:
     """Score the chain at (theta, h) against the reference: its kept samples
     after the first (the state at the end of burn-in). A chain that leaves
     no kernel bandwidth (DegenerateBandwidthError) gets a nan row and one
@@ -184,7 +183,7 @@ def _grid_row(theta: float, h: float, trajectory, reference: diagnostics.Referen
         return GridRow(theta=theta, h=h, mmtv=math.nan, mmd2=math.nan, diverged=True)
     sample_set = SampleSet(trajectory.samples[1:])
     try:
-        mmtv_val = diagnostics.mmtv(sample_set, reference) if compute_mmtv else math.nan
+        mmtv_val = diagnostics.mmtv(sample_set, reference)
         mmd_val = diagnostics.mmd2(sample_set, reference)
     except DegenerateBandwidthError as exc:
         print(f"warning: diagnostics failed at theta={theta}, h={h}: {exc}; "
@@ -237,20 +236,19 @@ def _logistic_sweep_setup(config: ExperimentConfig):
 _SWEEP_SETUPS = {"gaussian": _gaussian_sweep_setup, "logistic": _logistic_sweep_setup}
 
 
-def run_sweep(config: ExperimentConfig, compute_mmtv: bool = True) -> list[GridRow]:
+def run_sweep(config: ExperimentConfig) -> list[GridRow]:
     """Discrepancy sweep over (theta, h), one theta after another, rows sorted
     by (theta, h) (thetas arrive in the caller's order). config.kind
     picks the target, the step h_half bounding the default h grid, and the
     reference set, which is built only once the h grid has been resolved. The
-    reference side of both discrepancies is computed once, for every row.
-    compute_mmtv=False leaves mmtv as nan and scores rows by mmd2 alone."""
+    reference side of both discrepancies is computed once, for every row."""
     setup = _SWEEP_SETUPS.get(config.kind)
     if setup is None:
         raise ValueError(f"no sweep for kind {config.kind!r}; use one of {sorted(_SWEEP_SETUPS)}")
     target, h_half, build_reference = setup(config)
     h_grid = resolve_h_grid(config, target.convexity_bounds()[1], h_half)
     reference = diagnostics.Reference.from_samples(build_reference(), seed=config.seed)
-    rows = [_grid_row(theta, h, trajectory, reference, compute_mmtv=compute_mmtv)
+    rows = [_grid_row(theta, h, trajectory, reference)
             for theta in config.thetas
             for h, trajectory in zip(h_grid, _row_chains(target, config, theta, h_grid))]
     rows.sort(key=lambda r: (r.theta, r.h))

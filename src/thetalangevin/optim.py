@@ -139,13 +139,11 @@ def _newton(evaluate, jacobian, u, shared, g, tol: float, params: tuple = ()):
     tol2, armijo = tol * tol, 1.0 - 2.0 * _ARMIJO_FACTOR
     sq = _row_sq(g)
     its = np.zeros(b, dtype=int)
-    # Rows that leave the batch are written to u_out and sq_out, made when
-    # the first row leaves before the others (as it does at iteration 0).
-    u_out = sq_out = None
+    # Rows done at entry are final here; the others are written as they leave.
+    u_out, sq_out = u.copy(), sq.copy()
     rows = np.arange(b)
     live = sq > tol2
     if not _all(live):
-        u_out, sq_out = u.copy(), sq.copy()
         rows = rows[live]
         u, g, sq, shared, *params = _take(live, u, g, sq, shared, *params)
 
@@ -198,11 +196,6 @@ def _newton(evaluate, jacobian, u, shared, g, tol: float, params: tuple = ()):
         if not np.count_nonzero(done):
             u, g, sq, shared = u_new, g_new, sq_new, shared_new
             continue
-        if u_out is None:
-            if _all(done) and not stalled.size:  # every row leaves at once
-                its[:] = it
-                return u_new, its, sq_new
-            u_out, sq_out = np.empty_like(u_new), np.empty_like(sq_new)
         at = rows[done]
         u_out[at], sq_out[at], its[at] = u_new[done], sq_new[done], it
         if stalled.size:
@@ -214,8 +207,6 @@ def _newton(evaluate, jacobian, u, shared, g, tol: float, params: tuple = ()):
         rows = rows[keep]
         u, g, sq, shared, *params = _take(keep, u_new, g_new, sq_new, shared_new, *params)
     its[rows] = it
-    if u_out is None:
-        return u, its, sq
     u_out[rows], sq_out[rows] = u, sq
     return u_out, its, sq_out
 

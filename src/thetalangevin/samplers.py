@@ -48,13 +48,18 @@ def _check_theta_h(theta: float, h: float) -> None:
         raise ValueError(f"step size must be {'finite' if h > 0 else 'positive'}, got {h}")
 
 
+def _is_count(n, least: int) -> bool:
+    """Whether n is a Python or numpy integer no less than least."""
+    return isinstance(n, (int, np.integer)) and n >= least
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Chain parameters: blend theta, step size h, subproblem tolerance, length.
 
     theta in [0, 1]; finite h > 0 in diffusion time units; eps >= 0 is the
-    gradient-norm tolerance of the implicit subproblem; n_steps >= 0; the seed
-    makes the noise sequence (and hence the chain) fully deterministic.
+    gradient-norm tolerance of the implicit subproblem; integer n_steps >= 0;
+    the seed makes the noise sequence (and so the chain) fully deterministic.
     """
 
     theta: float
@@ -67,8 +72,8 @@ class SamplerConfig:
         _check_theta_h(self.theta, self.h)
         if not self.eps >= 0:
             raise ValueError(f"subproblem tolerance must be >= 0, got {self.eps}")
-        if self.n_steps < 0:
-            raise ValueError(f"number of steps must be >= 0, got {self.n_steps}")
+        if not _is_count(self.n_steps, 0):
+            raise ValueError(f"number of steps must be an integer >= 0, got {self.n_steps}")
 
 
 class NoiseStream:
@@ -329,8 +334,7 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
     n = config.n_steps
     samples = np.empty((n + 1, target.dim))
     samples[0] = x0
-    kept = _gaussian_chain(target, config.theta, config.h, noise, samples)
-    diverged = kept > 0 and _diverged(samples[kept])
+    kept, diverged = _gaussian_chain(target, config.theta, config.h, noise, samples)
     return Trajectory(samples[: kept + 1], *_no_solves(kept), diverged=diverged)
 
 
@@ -364,8 +368,8 @@ def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, th
         raise ValueError("chains run together must share theta, eps, n_steps and seed")
     if theta > 0.0:
         _check_eps(eps)
-    if thin < 1 or burn_in < 0:
-        raise ValueError(f"need thin >= 1 and burn_in >= 0, got {thin} and {burn_in}")
+    if not (_is_count(thin, 1) and _is_count(burn_in, 0)):
+        raise ValueError(f"need integers thin >= 1 and burn_in >= 0, got {thin} and {burn_in}")
     x0, noise = _chain_inputs(target, x0, configs, noise, stacklevel)
     hs = [c.h for c in configs]
     b, d = len(hs), target.dim
@@ -429,15 +433,11 @@ def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, th
     return trajectories
 
 
-def _diverged(x) -> bool:
-    # One dot product: true for NaN and inf as well as for large norms.
-    return not x @ x <= DIVERGENCE_THRESHOLD**2
-
-
 def _gaussian_chain(target: GaussianTarget, theta: float, h: float, noise: NoiseStream,
-                    samples: np.ndarray) -> int:
+                    samples: np.ndarray) -> tuple[int, bool]:
     """Fill samples[1:] with the closed-form chain from samples[0] and return
-    the steps kept: up to and including the first diverged row.
+    the steps kept, up to and including the first diverged row, and whether
+    one diverged.
 
     The chain runs in the eigenbasis of Q, one noise block at a time: with
     y = (x - mean) V and w = b (z V), each step is y <- a y + w, and a block
@@ -462,5 +462,5 @@ def _gaussian_chain(target: GaussianTarget, theta: float, h: float, noise: Noise
             bad = np.flatnonzero(~(np.einsum("ij,ij->i", block, block)
                                    <= DIVERGENCE_THRESHOLD**2))
             if bad.size:
-                return start + int(bad[0]) + 1
-    return n
+                return start + int(bad[0]) + 1, True
+    return n, False

@@ -183,3 +183,40 @@ def test_newton_rejects_non_finite_hessian_naming_iteration():
         x0=np.zeros(2), tol=1e-10)
     with pytest.raises(NumericalError, match=r"Newton step is not finite at iteration 1"):
         newton_solve(problem)
+
+
+def _elementwise_newton(u, params, tol=1e-12):
+    """optim._newton on rows with gradient a (u^3 + u) + k u^2 - c and
+    Jacobian diag(a (3 u^2 + 1) + b), per-row columns a, b, c, k. Every
+    operation is elementwise, so a row's arithmetic does not depend on the
+    rows that share its batch."""
+
+    def evaluate(u, a, b, c, k):
+        return None, a * (u * u * u + u) + k * u * u - c
+
+    def jacobian(u, shared, a, b, c, k):
+        return (a * (3.0 * u * u + 1.0) + b)[:, :, None] * np.eye(u.shape[1])
+
+    return optim._newton(evaluate, jacobian, u, None, evaluate(u, *params)[1], tol, params)
+
+
+@pytest.mark.parametrize("cap", [optim.NEWTON_ITER_CAP, 2])
+def test_newton_rows_leave_the_batch_as_they_would_alone(monkeypatch, cap):
+    # Row 0 is at its root at entry. Row 1's gradient 1 + 1e21 u^2 grows at
+    # every trial point along its Newton direction, so it stalls at the first
+    # iteration. Row 2 iterates on towards the root of u^3 + u - 3, until tol
+    # or the cap.
+    monkeypatch.setattr(optim, "NEWTON_ITER_CAP", cap)
+    params = tuple(np.array([column]).T for column in
+                   ([1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, -1.0, 3.0], [0.0, 1e21, 0.0]))
+    u = np.zeros((3, 2))
+    x, its, sq = _elementwise_newton(u, params)
+    np.testing.assert_array_equal(u, 0.0)
+    assert its[:2].tolist() == [0, 0]
+    assert sq[:2].tolist() == [0.0, 2.0]
+    assert (its[2] == 2) if cap == 2 else (2 < its[2] < cap and sq[2] <= 1e-24)
+    for row in range(3):
+        alone = _elementwise_newton(u[row:row + 1], tuple(p[row:row + 1] for p in params))
+        np.testing.assert_array_equal(x[row], alone[0][0])
+        assert its[row] == alone[1][0]
+        np.testing.assert_array_equal(sq[row], alone[2][0])

@@ -202,6 +202,29 @@ def test_run_chain_gaussian_divergence_raises_no_runtime_warning():
     assert traj.solver_iterations.shape == traj.grad_norms.shape == (slow.shape[0] - 1,)
 
 
+@pytest.mark.parametrize("step", [1, NOISE_BLOCK, NOISE_BLOCK + 1, None],
+                         ids=["first-step", "block-end", "next-block-start", "never"])
+def test_run_chain_gaussian_diverges_at_the_oracle_step(step):
+    # At h = 2.0746 the explicit step scales the top eigendirection by -1.0746
+    # a step; x0 on it at 1e12 / 1.0746^(step - 1/2) first crosses the
+    # threshold at that step. h = 0.5 is stable.
+    target = GaussianTarget(np.zeros(2), np.diag([1.0, 2.0]))
+    growth = 1.0746
+    if step is None:
+        x0, h = np.ones(2), 0.5
+    else:
+        x0, h = np.array([0.0, DIVERGENCE_THRESHOLD / growth ** (step - 0.5)]), 1.0 + growth
+    config = SamplerConfig(theta=0.0, h=h, n_steps=2 * NOISE_BLOCK, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        traj = run_chain(target, x0, config)
+    slow, diverged = cholesky_oracle_chain(target, x0, config)
+    assert traj.diverged == diverged == (step is not None)
+    assert len(traj.samples) == len(slow) == (step or config.n_steps) + 1
+    rel = np.linalg.norm(traj.samples[-1] - slow[-1]) / np.linalg.norm(slow[-1])
+    assert rel <= 1e-10, rel
+
+
 def test_gaussian_kernel_memo_bounded_and_target_untouched():
     target = build_gaussian_target(6, 50.0, seed=6)
     attrs = dict(vars(target))
@@ -649,6 +672,19 @@ def test_config_validation():
         SamplerConfig(theta=0.5, h=1.0, eps=math.nan)
     with pytest.raises(ValueError):
         SamplerConfig(theta=0.5, h=1.0, n_steps=-1)
+    for n_steps in (math.nan, 2.5):
+        with pytest.raises(ValueError, match=f"number of steps must be .*, got {n_steps}"):
+            SamplerConfig(theta=0.5, h=1.0, n_steps=n_steps)
+    assert SamplerConfig(theta=0.5, h=1.0, n_steps=np.int64(3)).n_steps == 3
+
+
+@pytest.mark.parametrize("thin, burn_in", [(math.nan, 0), (2.5, 0), (0, 0),
+                                           (1, math.nan), (1, 2.5), (1, -1)])
+def test_run_chains_rejects_non_integer_thin_and_burn_in(thin, burn_in):
+    target = make_logistic(n_obs=10, dim=2, seed=15)
+    config = SamplerConfig(theta=0.5, h=0.1, n_steps=3)
+    with pytest.raises(ValueError, match=f"thin >= 1 and burn_in >= 0, got {thin} and {burn_in}"):
+        run_chains(target, np.zeros(2), [config], thin=thin, burn_in=burn_in)
 
 
 @pytest.mark.parametrize("theta, h, message", [
