@@ -216,7 +216,8 @@ def _gaussian_sweep_setup(config: ExperimentConfig):
 
 def _logistic_sweep_setup(config: ExperimentConfig):
     """Logistic-regression posterior; the reference set is a long theta = 1/2
-    chain at step ref_h (default h_half/10), thinned by ref_thin."""
+    chain at step ref_h (default h_half/10), thinned by ref_thin: its states
+    after ref_thin, 2 ref_thin, ... steps, the only ones it holds."""
     target = build_logistic_target(config)
     model = matrixgen.SpectralModel(target.dim, *target.convexity_bounds())
     h_half = theory.step_size_heuristic(matrixgen.exp_decay_spectrum(model), 0.5)
@@ -228,8 +229,9 @@ def _logistic_sweep_setup(config: ExperimentConfig):
         ref_config = SamplerConfig(theta=0.5, h=ref_h, eps=config.eps,
                                    n_steps=ref_keep * config.ref_thin, seed=config.seed)
         ref_noise = NoiseStream(config.seed, target.dim, stream=_STREAM_REFERENCE_CHAIN)
-        ref_traj = run_chain(target, np.zeros(target.dim), ref_config, noise=ref_noise)
-        return SampleSet(ref_traj.samples[config.ref_thin::config.ref_thin])
+        [ref_traj] = run_chains(target, np.zeros(target.dim), [ref_config], noise=ref_noise,
+                                thin=config.ref_thin)
+        return SampleSet(ref_traj.samples[1:])
     return target, h_half, build_reference
 
 

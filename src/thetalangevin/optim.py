@@ -128,7 +128,9 @@ def _newton(evaluate, jacobian, u, shared, g, tol: float, params: tuple = ()):
     along which the Newton direction has slope -2|g|^2.
 
     A row leaves the batch once its gradient norm reaches tol, once no step
-    length passes the Armijo test on |g|^2, or at NEWTON_ITER_CAP iterations;
+    length passes the Armijo test on |g|^2 or moves it off its point (a
+    stalled row, which keeps the point and the iteration count before that
+    iteration), or at NEWTON_ITER_CAP iterations;
     the batch is compacted only when some row leaves. Each iteration checks
     that the stack is positive definite with numpy's LAPACK Cholesky, whose
     factor is not kept, and then solves the stack by LU; a failure raises
@@ -177,6 +179,15 @@ def _newton(evaluate, jacobian, u, shared, g, tol: float, params: tuple = ()):
             for _ in range(_MAX_BACKTRACKS - 1):
                 t *= _BACKTRACK_RATIO
                 u_try = u[back] - t * step[back]
+                # Once t * step is below an ulp of u, this and every shorter
+                # trial point is u itself, which the Armijo test accepts once
+                # 1 - 2e-4 t rounds to 1 (t below about 2^-41): a stall.
+                moved = (u_try != u[back]).any(axis=1)
+                if not _all(moved):
+                    stalled = np.concatenate((stalled, back[~moved]))
+                    back, u_try = back[moved], u_try[moved]
+                    if not back.size:
+                        break
                 shared_try, g_try = evaluate(u_try, *_take(back, *params))
                 sq_try = _row_sq(g_try)
                 passed = sq_try <= sq[back] * (1.0 - 2.0 * _ARMIJO_FACTOR * t)
@@ -188,7 +199,7 @@ def _newton(evaluate, jacobian, u, shared, g, tol: float, params: tuple = ()):
                 if not back.size:
                     break
             # No productive step length left; |g| is at the numerical floor.
-            stalled = back
+            stalled = np.concatenate((stalled, back)) if stalled.size else back
         it += 1
         done = sq_new <= tol2
         if stalled.size:

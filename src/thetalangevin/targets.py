@@ -275,10 +275,13 @@ def standardize_design(features: np.ndarray) -> np.ndarray:
 def load_dataset(path, label_col: int = 0):
     """Read a comma-separated dataset: one observation per row, one label column.
 
-    Returns (features, labels) with labels coerced to {0, 1}. Rows that fail
-    to parse raise a ValueError naming the offending line number.
+    Returns (features, labels) with labels coerced to {0, 1}: labels 0 and 1
+    are kept, and any other two levels map the smaller to 0 and the larger
+    to 1. Rows that fail to parse, and labels that are not finite (nan or
+    inf), raise a ValueError naming the offending line number; more than two
+    distinct labels raise a ValueError too.
     """
-    rows = []
+    rows, linenos = [], []
     n_cols = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -300,6 +303,7 @@ def load_dataset(path, label_col: int = 0):
                 rows.append([float(p) for p in parts])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: empty dataset")
     data = np.asarray(rows, dtype=float)
@@ -307,14 +311,19 @@ def load_dataset(path, label_col: int = 0):
         raise ValueError(f"label column {label_col} out of range for {data.shape[1]} columns")
     labels = data[:, label_col]
     features = np.delete(data, label_col % data.shape[1], axis=1)
-    unique = np.unique(labels)
-    if unique.size > 2:
+    finite = np.isfinite(labels)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"{path}: line {linenos[row]}: label {labels[row]} is not finite")
+    # A Python set, not np.unique, which loads numpy.ma (about 1 MB).
+    levels = set(labels.tolist())
+    if len(levels) > 2:
         raise ValueError(
-            f"{path}: labels must be binary, found {unique.size} distinct values"
+            f"{path}: labels must be binary, found {len(levels)} distinct values"
         )
-    if not np.all(np.isin(unique, (0.0, 1.0))):
+    if not levels <= {0.0, 1.0}:
         # Two arbitrary level values: map smaller -> 0, larger -> 1.
-        labels = (labels == unique.max()).astype(float)
+        labels = (labels == max(levels)).astype(float)
     return features, labels
 
 

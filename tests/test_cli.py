@@ -11,6 +11,7 @@ import pytest
 from thetalangevin import (
     DegenerateBandwidthError,
     LogisticRegressionTarget,
+    NoiseStream,
     SampleSet,
     SamplerConfig,
     StabilityWarning,
@@ -730,28 +731,29 @@ def test_cli_empty_h_grid_builds_reference_once_and_runs_no_grid_chain(tmp_path,
              else ["--dim", "4", "--kappa", "10"])
     calls = {"reference": 0, "chain": 0}
     real_from_samples = diagnostics.Reference.from_samples.__func__
-    real_run_chain = cli.run_chain
+    real_run_chain, real_run_chains = cli.run_chain, cli.run_chains
 
     def counting_from_samples(cls, q, seed=0):
         calls["reference"] += 1
         return real_from_samples(cls, q, seed=seed)
 
+    # Gaussian grid rows run through run_chain, logistic ones and the
+    # logistic reference chain through run_chains; count every chain of both.
     def counting_run_chain(*args, **kwargs):
         calls["chain"] += 1
         return real_run_chain(*args, **kwargs)
 
+    def counting_run_chains(target, x0, configs, **kwargs):
+        calls["chain"] += len(configs)
+        return real_run_chains(target, x0, configs, **kwargs)
+
     def no_grid_row(*args, **kwargs):
         raise AssertionError("a grid chain ran with --h-count 0")
-
-    def no_grid_chains(target, x0, configs, **kwargs):
-        if configs:
-            raise AssertionError("a grid chain ran with --h-count 0")
-        return []
 
     monkeypatch.setattr(diagnostics.Reference, "from_samples",
                         classmethod(counting_from_samples))
     monkeypatch.setattr(cli, "run_chain", counting_run_chain)
-    monkeypatch.setattr(cli, "run_chains", no_grid_chains)
+    monkeypatch.setattr(cli, "run_chains", counting_run_chains)
     monkeypatch.setattr(cli, "_grid_row", no_grid_row)
     out = tmp_path / "rows.csv"
     assert main([kind, "--theta", "0", "--theta", "0.5", "--h-count", "0",
@@ -762,7 +764,55 @@ def test_cli_empty_h_grid_builds_reference_once_and_runs_no_grid_chain(tmp_path,
     assert calls["chain"] == (1 if kind == "logistic" else 0)
 
 
+@pytest.mark.parametrize("ref_steps, ref_thin, ref_h", [
+    (None, 10, None), (45, 4, None), (30, 1, None), (61, 20, 0.05)])
+def test_logistic_reference_set_matches_thinned_full_chain(tmp_path, monkeypatch, ref_steps,
+                                                          ref_thin, ref_h):
+    # The sweep's reference set, which holds only the kept states, against
+    # the states after ref_thin, 2 ref_thin, ... steps of a chain that keeps
+    # every state. ref_steps 45 and 61 are not multiples of ref_thin: the
+    # chain runs ref_thin * (ref_steps // ref_thin) steps.
+    dataset = tmp_path / "synthetic.csv"
+    write_synthetic_dataset(dataset, n_obs=40, dim=2, seed=4)
+    config = ExperimentConfig(kind="logistic", dataset=str(dataset), h_count=0, n_samples=25,
+                              seed=7, ref_steps=ref_steps, ref_thin=ref_thin, ref_h=ref_h)
+    sets = []
+    real_from_samples = diagnostics.Reference.from_samples.__func__
+
+    def recording_from_samples(cls, q, seed=0):
+        sets.append(q.points)
+        return real_from_samples(cls, q, seed=seed)
+
+    monkeypatch.setattr(diagnostics.Reference, "from_samples",
+                        classmethod(recording_from_samples))
+    assert run_sweep(config) == []
+    target, h_half, _ = cli._logistic_sweep_setup(config)
+    keep = ref_steps // ref_thin if ref_steps is not None else config.n_samples
+    chain_config = SamplerConfig(theta=0.5, h=ref_h if ref_h is not None else h_half / 10.0,
+                                 eps=config.eps, n_steps=keep * ref_thin, seed=config.seed)
+    noise = NoiseStream(config.seed, target.dim, stream=cli._STREAM_REFERENCE_CHAIN)
+    full = run_chain(target, np.zeros(target.dim), chain_config, noise=noise)
+    expected = full.samples[ref_thin::ref_thin]
+    [points] = sets
+    assert points.shape == (keep, target.dim) and expected.shape == points.shape
+    assert points.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+# Modules no command may load: scipy is a test-only dependency, and numpy.ma
+# (which np.unique imports) adds about 1 MB to a process. A name matches
+# itself or a submodule, not a prefix: numpy loads numpy.matrixlib.
+_FORBIDDEN_MODULES = ("scipy", "numpy.ma")
+
+
 def _run_cli_subprocess(code):
+    """Standard output of code, run in a fresh interpreter that has
+    forbidden_modules(), the sorted names of loaded _FORBIDDEN_MODULES."""
+    code = ("import sys\n"
+            f"FORBIDDEN = {_FORBIDDEN_MODULES!r}\n"
+            "def forbidden_modules():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if any(m == f or m.startswith(f + '.') for f in FORBIDDEN))\n"
+            + code)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -772,13 +822,13 @@ def _run_cli_subprocess(code):
 
 
 def test_import_cli_leaves_scipy_stats_unloaded():
-    code = "import sys, thetalangevin.cli; print('scipy.stats' in sys.modules)"
-    assert _run_cli_subprocess(code) == "False"
+    code = "import thetalangevin.cli; print('scipy.stats' in sys.modules, forbidden_modules())"
+    assert _run_cli_subprocess(code) == "False []"
 
 
 def test_import_cli_leaves_scipy_linalg_unloaded():
-    code = "import sys, thetalangevin.cli; print('scipy.linalg' in sys.modules)"
-    assert _run_cli_subprocess(code) == "False"
+    code = "import thetalangevin.cli; print('scipy.linalg' in sys.modules, forbidden_modules())"
+    assert _run_cli_subprocess(code) == "False []"
 
 
 @pytest.mark.parametrize("kind, rows", [("gaussian", 3), ("logistic", 5)])
@@ -795,21 +845,24 @@ def test_cli_leaves_scipy_linalg_and_stats_unloaded(tmp_path, kind, rows):
     }[kind]
     if kind == "logistic":
         write_synthetic_dataset(dataset, n_obs=40, dim=2, seed=2)
-    code = ("import sys\n"
-            "from thetalangevin.cli import main\n"
+    code = ("from thetalangevin.cli import main\n"
             f"code = main({argv + ['--out', str(out)]!r})\n"
-            "print(code, sorted({'scipy.linalg', 'scipy.stats'} & set(sys.modules)))")
-    assert _run_cli_subprocess(code) == "0 []"
+            "print(code, sorted({'scipy.linalg', 'scipy.stats'} & set(sys.modules)),\n"
+            "      forbidden_modules())")
+    assert _run_cli_subprocess(code) == "0 [] []"
     assert len(out.read_text().splitlines()) == rows
 
 
 def test_cli_leaves_scipy_unloaded(tmp_path):
-    # No scipy module at all, after the import, after each sweep and command,
-    # and after a limit-map solve: the normal CDF of mmtv is computed in numpy,
-    # and so is every Newton solve, including the mode behind both contours.
+    # No scipy or numpy.ma module at all, after the import, after each sweep
+    # and command, and after a limit-map solve: the normal CDF of mmtv is
+    # computed in numpy, and so is every Newton solve, including the mode
+    # behind both contours; load_dataset classifies labels without np.unique.
     dataset, one_feature = tmp_path / "synthetic.csv", tmp_path / "one_feature.csv"
     write_synthetic_dataset(dataset, n_obs=40, dim=2, seed=2)
     write_synthetic_dataset(one_feature, n_obs=40, dim=1, seed=2)
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text("1\n4\n25\n")
     commands = [
         ["gaussian", "--dim", "6", "--kappa", "100", "--theta", "0.5", "--h-count", "2",
          "--samples", "50", "--seed", "1", "--out", str(tmp_path / "gaussian.csv")],
@@ -817,26 +870,27 @@ def test_cli_leaves_scipy_unloaded(tmp_path):
          "--h", "1", "--samples", "30", "--thin", "2", "--ref-thin", "2", "--seed", "1",
          "--out", str(tmp_path / "logistic.csv")],
         ["heuristic", "--kappa", "100"],
+        ["heuristic", "--spectrum", str(spectrum)],
         ["contour", "--kappa", "25", "--theta", "0.5", "--grid-count", "3",
-         "--out", str(tmp_path / "contour_gaussian.csv")],
+         "--out", str(tmp_path / "contour_gaussian.csv"),
+         "--dump-matrix", str(tmp_path / "covariance.txt")],
         ["contour", "--dataset", str(one_feature), "--theta", "0.5", "--grid-count", "3",
          "--out", str(tmp_path / "contour_logistic.csv")],
     ]
-    code = ("import contextlib, io, sys\n"
+    code = ("import contextlib, io\n"
             "import numpy as np\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "from thetalangevin import GaussianTarget, theory\n"
             "from thetalangevin.cli import main\n"
-            "print(scipy_modules())\n"
+            "print(forbidden_modules())\n"
             f"for argv in {commands!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = main(argv)\n"
-            "    print(code, scipy_modules())\n"
+            "    print(code, forbidden_modules())\n"
             "target = GaussianTarget(np.zeros(2), np.diag([1.0, 4.0]))\n"
             "u = theory.theta_map(target, np.ones(2), 0.5)\n"
-            "print(u.tolist(), scipy_modules())\n")
-    assert _run_cli_subprocess(code).splitlines() == ["[]"] + ["0 []"] * 5 + ["[-1.0, -1.0] []"]
+            "print(u.tolist(), forbidden_modules())\n")
+    assert (_run_cli_subprocess(code).splitlines()
+            == ["[]"] + ["0 []"] * len(commands) + ["[-1.0, -1.0] []"])
     assert len((tmp_path / "gaussian.csv").read_text().splitlines()) == 3
     assert len((tmp_path / "logistic.csv").read_text().splitlines()) == 5
     for name in ("contour_gaussian.csv", "contour_logistic.csv"):

@@ -131,6 +131,52 @@ def test_folded_kernel_sums_match_direct_blocks(shift):
         self_direct, rel=1e-12, abs=0)
 
 
+def _fresh_folded_block(a, b):
+    """_folded_block with a fresh product a @ b' for every block."""
+    (a, a_sq, a_u), (b, b_sq, b_u) = a, b
+    if a_sq.max() * b_sq.max() > diagnostics._FOLD_EXP_LIMIT**2:
+        return diagnostics._kernel_block(a, a_sq, b, b_sq, -0.5)
+    e = a @ b.T
+    np.exp(e, out=e)
+    return float(a_u @ (e @ b_u))
+
+
+@pytest.mark.parametrize("block", [64, diagnostics._KERNEL_BLOCK])
+def test_kernel_sums_in_one_buffer_match_fresh_products_bit_for_bit(monkeypatch, block):
+    # Sets of 150 and 100 rows: at 64 rows a block, blocks of 64, 64 and 22
+    # rows against 64 and 36, in both orders, and the far rows of b's last
+    # block take the direct form. At the package's block size, one block
+    # each, as in the sweeps' sets of a few hundred points.
+    monkeypatch.setattr(diagnostics, "_KERNEL_BLOCK", block)
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((150, 4))
+    b = np.vstack([rng.standard_normal((70, 4)), 60.0 * rng.standard_normal((30, 4))])
+    sizes = []
+    real_product_buffer = diagnostics._product_buffer
+
+    def recording_product_buffer(a_blocks, b_blocks):
+        buffer = real_product_buffer(a_blocks, b_blocks)
+        sizes.append(buffer.size)
+        return buffer
+
+    monkeypatch.setattr(diagnostics, "_product_buffer", recording_product_buffer)
+    sigma, expected = 1.0, []
+    for p, q in ((a, b), (b, a), (a, a)):
+        centre = q.mean(axis=0)
+        q_blocks = diagnostics._scaled_blocks(q, centre, sigma)
+        fresh = math.fsum(_fresh_folded_block(p_block, q_block)
+                          for p_block in diagnostics._scaled_blocks(p, centre, sigma)
+                          for q_block in q_blocks)
+        assert diagnostics._kernel_sum(p, q, sigma) == fresh
+        totals = [(1.0 if j == i else 2.0) * _fresh_folded_block(q_blocks[i], q_blocks[j])
+                  for i in range(len(q_blocks)) for j in range(i, len(q_blocks))]
+        assert diagnostics._mean_self_kernel(as_set(q), sigma) == math.fsum(totals) / len(q) ** 2
+        # One buffer per call, for the product of the call's largest blocks.
+        p_rows, q_rows = min(len(p), block), min(len(q), block)
+        expected += [p_rows * q_rows, q_rows * q_rows]
+    assert sizes == expected
+
+
 def test_folded_kernel_sum_falls_back_where_exp_could_overflow(monkeypatch):
     # At sigma = 1, rows of b lie up to about 90 from its mean, and a.b
     # passes exp's range of about 709 on the rows of a matched to them. The

@@ -185,13 +185,16 @@ def test_newton_rejects_non_finite_hessian_naming_iteration():
         newton_solve(problem)
 
 
-def _elementwise_newton(u, params, tol=1e-12):
+def _elementwise_newton(u, params, tol=1e-12, calls=None):
     """optim._newton on rows with gradient a (u^3 + u) + k u^2 - c and
     Jacobian diag(a (3 u^2 + 1) + b), per-row columns a, b, c, k. Every
     operation is elementwise, so a row's arithmetic does not depend on the
-    rows that share its batch."""
+    rows that share its batch. calls, if given, gets the number of rows of
+    each gradient evaluation."""
 
     def evaluate(u, a, b, c, k):
+        if calls is not None:
+            calls.append(len(u))
         return None, a * (u * u * u + u) + k * u * u - c
 
     def jacobian(u, shared, a, b, c, k):
@@ -220,3 +223,29 @@ def test_newton_rows_leave_the_batch_as_they_would_alone(monkeypatch, cap):
         np.testing.assert_array_equal(x[row], alone[0][0])
         assert its[row] == alone[1][0]
         np.testing.assert_array_equal(sq[row], alone[2][0])
+
+
+def test_newton_row_stalls_once_its_step_is_below_an_ulp():
+    # Row 0's gradient is the constant -2e-9 per coordinate, with unit
+    # Jacobian, at u = 1e8, where an ulp is 1.5e-8: every trial point
+    # u + t 2e-9 rounds to u. The row leaves as stalled at its first
+    # iteration, after one backtrack: before, the Armijo test accepted the
+    # null step once 1 - 2e-4 t rounded to 1 (t about 2^-41), and the row ran
+    # to the iteration cap, 42 evaluations an iteration. Row 1 iterates on to
+    # the root of u^3 + u - 3 as it would alone.
+    params = tuple(np.array([column]).T for column in
+                   ([0.0, 1.0], [1.0, 0.0], [2e-9, 3.0], [0.0, 0.0]))
+    u = np.array([[1e8, 1e8], [0.0, 0.0]])
+    x, its, sq = _elementwise_newton(u, params)
+    np.testing.assert_array_equal(x[0], u[0])
+    assert its[0] == 0
+    assert sq[0] == 2 * (2e-9 * 2e-9)
+    assert 2 < its[1] < optim.NEWTON_ITER_CAP and sq[1] <= 1e-24
+    calls = []
+    alone = _elementwise_newton(u[:1], tuple(p[:1] for p in params), calls=calls)
+    assert alone[1][0] == 0 and alone[2][0] == sq[0]
+    # The entry gradient and the full step; the halved step is u again.
+    assert calls == [1, 1]
+    alone = _elementwise_newton(u[1:], tuple(p[1:] for p in params))
+    np.testing.assert_array_equal(x[1], alone[0][0])
+    assert its[1] == alone[1][0]

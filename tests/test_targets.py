@@ -365,3 +365,31 @@ def test_load_dataset_rejects_nonbinary(tmp_path):
     path.write_text("0,1\n1,2\n2,3\n")
     with pytest.raises(ValueError, match="binary"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf", "NaN"])
+def test_load_dataset_rejects_non_finite_labels(tmp_path, label):
+    # Once classified by np.unique, labels 1 and nan loaded as [0, 0, 0] (nan
+    # failed the {0, 1} test and equalled no level), and inf became class 1.
+    # The comment and blank lines count towards the line number.
+    path = tmp_path / "data.csv"
+    path.write_text(f"# label,x\n1,0.5\n\n{label},1.5\n1,2.0\n")
+    with pytest.raises(ValueError, match=rf"data\.csv: line 4: label -?(nan|inf) is not finite"):
+        load_dataset(path)
+    # A non-finite feature is not a label; the target rejects it.
+    path.write_text(f"1,0.5\n0,{label}\n")
+    features, labels = load_dataset(path)
+    np.testing.assert_array_equal(labels, [1.0, 0.0])
+    assert not np.isfinite(features[1, 0])
+
+
+def test_load_dataset_label_column_and_single_level(tmp_path):
+    # Levels come from the label column alone, wherever it is; one level
+    # other than 0 or 1 is the larger level, 1, as before.
+    path = tmp_path / "data.csv"
+    path.write_text("0.5,-1\n1.5,3\n2.0,-1\n")
+    features, labels = load_dataset(path, label_col=-1)
+    np.testing.assert_array_equal(labels, [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(features[:, 0], [0.5, 1.5, 2.0])
+    path.write_text("7,0.5\n7,1.5\n")
+    np.testing.assert_array_equal(load_dataset(path)[1], [1.0, 1.0])
