@@ -26,7 +26,6 @@ from .samplers import (
     NoiseStream,
     SamplerConfig,
     StabilityWarning,
-    run_chain,
     run_chains,
     transition_log_density,
 )
@@ -34,7 +33,7 @@ from .targets import GaussianTarget, LogisticRegressionTarget
 
 SEED_ENV_VAR = "THETALANGEVIN_SEED"
 
-# Noise stream ids: 0 chain steps (run_chain's default), 1 exact reference
+# Noise stream ids: 0 chain steps (run_chains' default), 1 exact reference
 # draws, 2 reference chain.
 _STREAM_EXACT_REFERENCE = 1
 _STREAM_REFERENCE_CHAIN = 2
@@ -158,20 +157,20 @@ def _quiet(run, *args, **kwargs):
 
 
 def _row_chains(target, config: ExperimentConfig, theta: float, h_grid):
-    """The chain of each grid row of theta, in h_grid's order, kept at steps
-    burn_in + j * thin: theta = 0 rows keep every config.thin-th state, so
-    explicit and implicit budgets compare. Logistic rows advance together
-    through run_chains; Gaussian rows run one at a time through run_chain, so
-    only one row's samples are held at once."""
+    """Yield the chain of each grid row of theta, in h_grid's order, kept at
+    steps burn_in + j * thin: theta = 0 rows keep every config.thin-th state,
+    so explicit and implicit budgets compare. Logistic rows advance together
+    as one run_chains batch; Gaussian rows run one config per call, so only
+    one row's samples are held at once."""
     thin = config.thin if theta == 0.0 else 1
     chain_configs = [SamplerConfig(theta=theta, h=h, eps=config.eps,
                                    n_steps=config.burn_in + config.n_samples * thin,
                                    seed=config.seed) for h in h_grid]
-    x0 = np.zeros(target.dim)
-    if not isinstance(target, GaussianTarget):
-        return _quiet(run_chains, target, x0, chain_configs, thin=thin, burn_in=config.burn_in)
-    return (replace(trajectory, samples=trajectory.samples[config.burn_in::thin])
-            for trajectory in (_quiet(run_chain, target, x0, c) for c in chain_configs))
+    batches = ([[c] for c in chain_configs] if isinstance(target, GaussianTarget)
+               else [chain_configs])
+    for batch in batches:
+        yield from _quiet(run_chains, target, np.zeros(target.dim), batch, thin=thin,
+                          burn_in=config.burn_in)
 
 
 def _grid_row(theta: float, h: float, trajectory, reference: diagnostics.Reference) -> GridRow:
@@ -250,9 +249,12 @@ def run_sweep(config: ExperimentConfig) -> list[GridRow]:
     target, h_half, build_reference = setup(config)
     h_grid = resolve_h_grid(config, target.convexity_bounds()[1], h_half)
     reference = diagnostics.Reference.from_samples(build_reference(), seed=config.seed)
-    rows = [_grid_row(theta, h, trajectory, reference)
-            for theta in config.thetas
-            for h, trajectory in zip(h_grid, _row_chains(target, config, theta, h_grid))]
+    rows = []
+    for theta in config.thetas:
+        # Only _grid_row holds a row's trajectory: no loop variable keeps it
+        # while the next chain runs.
+        chains = _row_chains(target, config, theta, h_grid)
+        rows += [_grid_row(theta, h, next(chains), reference) for h in h_grid]
     rows.sort(key=lambda r: (r.theta, r.h))
     return rows
 
@@ -375,18 +377,25 @@ def _floats(raw: str) -> tuple:
 
 def _coerce_config_values(raw: dict) -> dict:
     """Parse config-file strings by the ExperimentConfig field annotations:
-    bool is 1/true/yes, tuple is comma-separated floats, X | None is X."""
+    bool is 1/true/yes or 0/false/no in any case, tuple is comma-separated
+    floats, X | None is X. A value that does not parse raises ValueError
+    naming its key."""
     hints = typing.get_type_hints(ExperimentConfig)
     out = {}
     for key, value in raw.items():
         base = next((t for t in typing.get_args(hints[key]) if t is not type(None)),
                     hints[key])
-        if base is bool:
-            out[key] = value.lower() in ("1", "true", "yes")
-        elif base is tuple:
-            out[key] = _floats(value)
-        else:
-            out[key] = base(value)
+        try:
+            if base is bool:
+                if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                    raise ValueError("expected 1/true/yes or 0/false/no")
+                out[key] = value.lower() in ("1", "true", "yes")
+            elif base is tuple:
+                out[key] = _floats(value)
+            else:
+                out[key] = base(value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key} = {value!r}: {exc}") from exc
     return out
 
 

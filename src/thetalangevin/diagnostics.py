@@ -206,22 +206,14 @@ def _scaled_blocks(points: np.ndarray, centre: np.ndarray, sigma: float) -> list
             for i in range(0, x.shape[0], _KERNEL_BLOCK)]
 
 
-def _product_buffer(a_blocks: list, b_blocks: list) -> np.ndarray:
-    """Room for the product of the largest blocks of two _scaled_blocks
-    lists (their first), for every _folded_block of the pair to reuse, so
-    its pages are faulted in once per call, not once per block."""
-    return np.empty(a_blocks[0][0].shape[0] * b_blocks[0][0].shape[0])
-
-
-def _folded_block(a: tuple, b: tuple, buffer: np.ndarray) -> float:
+def _folded_block(a: tuple, b: tuple) -> float:
     """Sum of exp(-||a_i - b_j||^2 / 2) over all pairs of two _scaled_blocks
     entries, as u_a @ exp(a b') @ u_b, or by _kernel_block where exp could
-    overflow. exp(a b') is formed in the front of buffer (_product_buffer)."""
+    overflow."""
     (a, a_sq, a_u), (b, b_sq, b_u) = a, b
     if a_sq.max() * b_sq.max() > _FOLD_EXP_LIMIT**2:
         return _kernel_block(a, a_sq, b, b_sq, -0.5)
-    e = buffer[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
-    np.matmul(a, b.T, out=e)
+    e = a @ b.T
     np.exp(e, out=e)
     return float(a_u @ (e @ b_u))
 
@@ -231,8 +223,7 @@ def _kernel_sum(a: np.ndarray, b: np.ndarray, sigma: float) -> float:
     both sets centred at the mean of b."""
     centre = b.mean(axis=0)
     a_blocks, b_blocks = _scaled_blocks(a, centre, sigma), _scaled_blocks(b, centre, sigma)
-    buffer = _product_buffer(a_blocks, b_blocks)
-    return math.fsum(_folded_block(a_block, b_block, buffer)
+    return math.fsum(_folded_block(a_block, b_block)
                      for a_block in a_blocks for b_block in b_blocks)
 
 
@@ -265,11 +256,10 @@ def _mean_self_kernel(q: SampleSet, sigma: float) -> float:
     are summed, each off-diagonal one twice. Up to N = _KERNEL_BLOCK this is
     one block, the same operations as _kernel_sum(q, q)."""
     blocks = _scaled_blocks(q.points, q.points.mean(axis=0), sigma)
-    buffer = _product_buffer(blocks, blocks)
     totals = []
     for i, rows in enumerate(blocks):
         for j in range(i, len(blocks)):
-            total = _folded_block(rows, blocks[j], buffer)
+            total = _folded_block(rows, blocks[j])
             totals.append(total if j == i else 2.0 * total)
     return math.fsum(totals) / (q.n * q.n)
 

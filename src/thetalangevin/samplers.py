@@ -8,10 +8,11 @@ theta = 0 is the explicit (forward Euler) update, computable in closed form;
 theta > 0 makes the update implicit. For Gaussian targets every step is a
 closed-form linear map; otherwise each step is a strongly convex subproblem
 solved to a gradient-norm tolerance by optim's batched Newton iteration.
-Chains of one theta at several step sizes read the same noise, so they
-advance together as one (B, d) state: one batched explicit step, or one
-batched Newton solve, per step for all of them, and a lone chain is a batch
-of one. The transition kernel
+run_chains is the one chain driver, and it keeps only the states it returns.
+On non-Gaussian targets the chains of one theta at several step sizes read
+the same noise, so they advance together as one (B, d) state: one batched
+explicit step, or one batched Newton solve, per step for all of them, and a
+lone chain is a batch of one. The transition kernel
 density of the implicit update is available in closed form for diagnostics.
 """
 
@@ -105,10 +106,10 @@ class NoiseStream:
 class Trajectory:
     """Chain output: the kept samples plus per-step inner-solver statistics.
 
-    Row j of samples is the state after burn_in + j * thin steps; run_chain
-    keeps every state, so its row 0 is the initial point. If the chain
-    diverged (an iterate norm exceeded the divergence threshold), it stops
-    there, the offending iterate is its last row, and it is flagged.
+    Row j of samples is the state after burn_in + j * thin steps, and no other
+    state is held; run_chain keeps every state, so its row 0 is the initial
+    point. A diverged chain (an iterate norm exceeded the divergence
+    threshold) stops there, ends with the offending iterate and is flagged.
     solver_iterations and grad_norms hold one entry per step run; steps
     without an inner solve read zero.
     """
@@ -295,10 +296,50 @@ def stability_bound(theta: float, m: float, big_m: float) -> float:
     return 4.0 * m / (big_m**2 * (1.0 - 2.0 * theta))
 
 
-def _chain_inputs(target: TargetDensity, x0, configs, noise, stacklevel: int):
-    """Validated x0 and the noise stream (seeded by the configs if None),
-    after warning for each config in the explicit method's unstable regime;
-    stacklevel counts the frames up to the public function's caller."""
+def run_chain(target: TargetDensity, x0, config: SamplerConfig,
+              noise: NoiseStream | None = None) -> Trajectory:
+    """Run a chain of config.n_steps transitions from x0, keeping every state:
+    run_chains on a batch of one, so its row 0 is x0.
+
+    Iterates whose norm exceeds the divergence threshold truncate the chain
+    and set the diverged flag, which is the expected outcome for the explicit
+    method at large step sizes. A failed inner solve raises NumericalError
+    naming (theta, h) and the step, instead of contaminating the trajectory.
+    """
+    return _run_batch(target, x0, [config], noise, 1, 0, stacklevel=3)[0]
+
+
+def run_chains(target: TargetDensity, x0, configs, noise: NoiseStream | None = None,
+               thin: int = 1, burn_in: int = 0) -> list[Trajectory]:
+    """Run one chain per config from x0 and return their trajectories in the
+    order of configs, each holding only its states after burn_in + j * thin
+    steps, j = 0, 1, ....
+
+    The configs differ only in h; theta, eps, n_steps and seed are shared, and
+    so is the noise of each step. A Gaussian target takes the closed-form step
+    for every theta, one chain after another (eps is unused). Otherwise the
+    chains advance as one (B, d) state: theta = 0 by a batched explicit step,
+    theta > 0 by a batched Newton solve (see optim._newton; eps > 0), whose
+    rows match lone chains up to rounding: BLAS may sum a batch's products in
+    another order. A diverged row leaves the batch; a failed inner solve
+    raises NumericalError naming the row's (theta, h) and the step.
+    """
+    return _run_batch(target, x0, configs, noise, thin, burn_in, stacklevel=3)
+
+
+def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, thin: int,
+               burn_in: int, stacklevel: int) -> list[Trajectory]:
+    """run_chains; stacklevel counts the frames up to the public caller."""
+    if not configs:
+        return []
+    theta, eps, n, seed = configs[0].theta, configs[0].eps, configs[0].n_steps, configs[0].seed
+    if any((c.theta, c.eps, c.n_steps, c.seed) != (theta, eps, n, seed) for c in configs):
+        raise ValueError("chains run together must share theta, eps, n_steps and seed")
+    gaussian = isinstance(target, GaussianTarget)
+    if theta > 0.0 and not gaussian:
+        _check_eps(eps)
+    if not (_is_count(thin, 1) and _is_count(burn_in, 0)):
+        raise ValueError(f"need integers thin >= 1 and burn_in >= 0, got {thin} and {burn_in}")
     x0 = _check_point(x0, target.dim)
     m, big_m = target.convexity_bounds()
     for config in configs:
@@ -310,71 +351,15 @@ def _chain_inputs(target: TargetDensity, x0, configs, noise, stacklevel: int):
                 StabilityWarning, stacklevel=stacklevel,
             )
     if noise is None:
-        noise = NoiseStream(configs[0].seed, target.dim)
+        noise = NoiseStream(seed, target.dim)
     if noise.dim != target.dim:
         raise ValueError(f"noise dimension {noise.dim} != target dimension {target.dim}")
-    return x0, noise
-
-
-def run_chain(target: TargetDensity, x0, config: SamplerConfig,
-              noise: NoiseStream | None = None) -> Trajectory:
-    """Run a chain of config.n_steps transitions from x0, keeping every state.
-
-    Dispatch: the closed-form update, run in the eigenbasis of Q, for Gaussian
-    targets; otherwise run_chains on a batch of one: the explicit update when
-    theta = 0, else the inexact implicit step (requires eps > 0). Iterates
-    whose norm exceeds the divergence threshold truncate the chain and set
-    the diverged flag, which is the expected outcome for the explicit method
-    at large step sizes. A failed inner solve raises NumericalError naming
-    (theta, h) and the step, instead of contaminating the trajectory.
-    """
-    if not isinstance(target, GaussianTarget):
-        return _run_batch(target, x0, [config], noise, 1, 0, stacklevel=4)[0]
-    x0, noise = _chain_inputs(target, x0, [config], noise, stacklevel=3)
-    n = config.n_steps
-    samples = np.empty((n + 1, target.dim))
-    samples[0] = x0
-    kept, diverged = _gaussian_chain(target, config.theta, config.h, noise, samples)
-    return Trajectory(samples[: kept + 1], *_no_solves(kept), diverged=diverged)
-
-
-def run_chains(target: TargetDensity, x0, configs, noise: NoiseStream | None = None,
-               thin: int = 1, burn_in: int = 0) -> list[Trajectory]:
-    """Run one chain per config from x0, all advanced together as one (B, d)
-    state, and return their trajectories in the order of configs.
-
-    The configs differ only in h; theta, eps, n_steps and seed are shared, and
-    so is the noise of each step. Each trajectory keeps the states after
-    burn_in + j * thin steps, j = 0, 1, .... theta = 0 takes one batched
-    explicit step per step. Otherwise each step is one batched Newton solve
-    (see optim._newton), whose rows match lone chains up to rounding in the
-    last bits: BLAS may sum a batch's products in another order. A diverged
-    row leaves the batch; a failed inner solve raises NumericalError naming
-    the row's (theta, h) and the step. Gaussian targets have a closed-form
-    step; run_chain runs it, one chain at a time.
-    """
-    if isinstance(target, GaussianTarget):
-        raise TypeError("Gaussian chains step in closed form; use run_chain")
-    return _run_batch(target, x0, configs, noise, thin, burn_in, stacklevel=4)
-
-
-def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, thin: int,
-               burn_in: int, stacklevel: int) -> list[Trajectory]:
-    """run_chains past its Gaussian check; stacklevel as in _chain_inputs."""
-    if not configs:
-        return []
-    theta, eps, n, seed = configs[0].theta, configs[0].eps, configs[0].n_steps, configs[0].seed
-    if any((c.theta, c.eps, c.n_steps, c.seed) != (theta, eps, n, seed) for c in configs):
-        raise ValueError("chains run together must share theta, eps, n_steps and seed")
-    if theta > 0.0:
-        _check_eps(eps)
-    if not (_is_count(thin, 1) and _is_count(burn_in, 0)):
-        raise ValueError(f"need integers thin >= 1 and burn_in >= 0, got {thin} and {burn_in}")
-    x0, noise = _chain_inputs(target, x0, configs, noise, stacklevel)
+    n_keep = (n - burn_in) // thin + 1 if n >= burn_in else 0
+    if gaussian:
+        return [_gaussian_chain(target, x0, c, noise, thin, burn_in, n_keep) for c in configs]
     hs = [c.h for c in configs]
     b, d = len(hs), target.dim
     terms = _step_terms(theta, hs)
-    n_keep = (n - burn_in) // thin + 1 if n >= burn_in else 0
     # One spare row per chain for an offending iterate past the last kept one.
     samples = np.empty((b, n_keep + 1, d))
     lengths = np.full(b, n_keep)
@@ -433,20 +418,24 @@ def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, th
     return trajectories
 
 
-def _gaussian_chain(target: GaussianTarget, theta: float, h: float, noise: NoiseStream,
-                    samples: np.ndarray) -> tuple[int, bool]:
-    """Fill samples[1:] with the closed-form chain from samples[0] and return
-    the steps kept, up to and including the first diverged row, and whether
-    one diverged.
+def _gaussian_chain(target: GaussianTarget, x0, config: SamplerConfig, noise: NoiseStream,
+                    thin: int, burn_in: int, n_keep: int) -> Trajectory:
+    """The closed-form chain of config from x0, holding its n_keep states
+    after burn_in + j * thin steps and a diverged chain's offending iterate.
 
     The chain runs in the eigenbasis of Q, one noise block at a time: with
-    y = (x - mean) V and w = b (z V), each step is y <- a y + w, and a block
-    maps back to x with one matmul.
+    y = (x - mean) V and w = b (z V), each step is y <- a y + w. A block maps
+    back to x with one matmul into a NOISE_BLOCK-row scratch, whose kept rows
+    are then copied. Mapping back only the kept rows would round differently:
+    numpy sends a one-row product to gemv.
     """
-    a, b = _gaussian_coefficients(target, theta, h)
+    a, b = _gaussian_coefficients(target, config.theta, config.h)
     vecs, mean = target.eigenvectors, target.mean
-    n = samples.shape[0] - 1
-    y = (samples[0] - mean) @ vecs
+    n = config.n_steps
+    samples, scratch = np.empty((n_keep + 1, target.dim)), np.empty((NOISE_BLOCK, target.dim))
+    samples[0] = x0  # kept only if burn_in is 0, else overwritten
+    slot, steps = int(burn_in == 0), n  # the next sample row; the steps run
+    y = (x0 - mean) @ vecs
     # A diverging chain may overflow to inf and nan; the row check sees both.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, NOISE_BLOCK):
@@ -456,11 +445,21 @@ def _gaussian_chain(target: GaussianTarget, theta: float, h: float, noise: Noise
             for k in range(1, rows):  # w[k] becomes y after step start + k
                 w[k] += a * w[k - 1]
             y = w[rows - 1]
-            block = samples[start + 1: start + 1 + rows]
-            np.matmul(w, vecs.T, out=block)
+            block = np.matmul(w, vecs.T, out=scratch[:rows])
             block += mean
             bad = np.flatnonzero(~(np.einsum("ij,ij->i", block, block)
                                    <= DIVERGENCE_THRESHOLD**2))
             if bad.size:
-                return start + int(bad[0]) + 1, True
-    return n, False
+                rows = int(bad[0]) + 1
+                steps = start + rows
+            # Row r of block is the state after step start + r + 1.
+            kept = block[max(burn_in - start - 1, (burn_in - start - 1) % thin):rows:thin]
+            samples[slot:slot + len(kept)] = kept
+            slot += len(kept)
+            if bad.size:
+                # A diverged chain ends with its offending iterate.
+                if steps < burn_in or (steps - burn_in) % thin:
+                    samples[slot] = block[rows - 1]
+                    slot += 1
+                return Trajectory(samples[:slot], *_no_solves(steps), diverged=True)
+    return Trajectory(samples[:slot], *_no_solves(steps))

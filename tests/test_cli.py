@@ -1,8 +1,10 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -206,7 +208,7 @@ def _forbid_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the --out check")
 
-    for name in ("build_gaussian_target", "build_logistic_target", "run_chain",
+    for name in ("build_gaussian_target", "build_logistic_target", "run_chains",
                  "run_heuristic"):
         monkeypatch.setattr(cli, name, no_work)
 
@@ -484,8 +486,9 @@ def test_config_file_parses_every_field_by_annotation(tmp_path):
         assert type(parsed[key]) is type(value), key
     assert type(parsed["thetas"][0]) is float and type(parsed["source"][0]) is float
     assert ExperimentConfig(**parsed) == ExperimentConfig(**expected)
-    for falsy in ("0", "false", "no"):
-        assert _coerce_config_values({"overwrite": falsy}) == {"overwrite": False}
+    for value, expected in (("1", True), ("TRUE", True), ("yes", True), ("0", False),
+                            ("false", False), ("No", False), ("FALSE", False)):
+        assert _coerce_config_values({"overwrite": value}) == {"overwrite": expected}
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -493,6 +496,34 @@ def test_config_file_rejects_unknown_key(tmp_path):
     cfg.write_text("dimension=4\n")
     with pytest.raises(ValueError, match="unknown key"):
         load_config_file(str(cfg))
+
+
+@pytest.mark.parametrize("value", ["on", "ture", "2", ""])
+def test_config_file_rejects_unparsable_booleans(tmp_path, capsys, value):
+    # Anything but 1/true/yes or 0/false/no is an error naming the key and
+    # the value, not a silent False.
+    message = f"config key overwrite = {value!r}: expected 1/true/yes or 0/false/no"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _coerce_config_values({"overwrite": value})
+    cfg, out = tmp_path / "run.cfg", tmp_path / "rows.csv"
+    cfg.write_text(f"overwrite = {value}\n")
+    assert main(_WRITING_ARGV["gaussian"] + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("n_samples", "2.5", "invalid literal for int() with base 10: '2.5'"),
+    ("kappa", "big", "could not convert string to float: 'big'"),
+    ("thetas", "0,x", "could not convert string to float: 'x'"),
+])
+def test_config_file_bad_number_names_its_key(tmp_path, capsys, key, value, reason):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(["gaussian", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: config key {key} = {value!r}: {reason}" in captured.err
 
 
 def test_seed_env_var_sets_default(tmp_path, monkeypatch):
@@ -579,7 +610,7 @@ def _forbid_chains(monkeypatch):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain ran before the config check")
 
-    monkeypatch.setattr(cli, "run_chain", no_chain)
+    monkeypatch.setattr(cli, "run_chains", no_chain)
 
 
 def test_cli_logistic_rejects_ref_steps_below_two_ref_thin(tmp_path, capsys, monkeypatch):
@@ -679,13 +710,14 @@ def test_cli_contour_rejects_bad_grid_count_and_span_before_any_work(capsys, mon
 def test_cli_diagnostics_error_names_grid_point(tmp_path, capsys, monkeypatch):
     # A chain whose second coordinate never moves leaves mmtv no bandwidth:
     # that row is written as nan and the sweep goes on.
-    def constant_coordinate_chain(target, x0, config, noise=None):
-        samples = np.zeros((config.n_steps + 1, target.dim))
-        samples[:, 0] = np.arange(config.n_steps + 1.0)
-        return Trajectory(samples=samples, solver_iterations=np.zeros(config.n_steps, int),
-                          grad_norms=np.zeros(config.n_steps))
+    def constant_coordinate_chains(target, x0, configs, noise=None, thin=1, burn_in=0):
+        n = configs[0].n_steps
+        samples = np.zeros((n + 1, target.dim))
+        samples[:, 0] = np.arange(n + 1.0)
+        return [Trajectory(samples=samples, solver_iterations=np.zeros(n, int),
+                           grad_norms=np.zeros(n)) for _ in configs]
 
-    monkeypatch.setattr(cli, "run_chain", constant_coordinate_chain)
+    monkeypatch.setattr(cli, "run_chains", constant_coordinate_chains)
     out = tmp_path / "rows.csv"
     assert main(_WRITING_ARGV["gaussian"] + ["--h", "2.0", "--out", str(out)]) == 0
     captured = capsys.readouterr()
@@ -722,6 +754,31 @@ def test_cli_other_diagnostics_errors_stay_fatal(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "logistic"])
+def test_sweep_frees_each_grid_chain_before_the_next_runs(tmp_path, monkeypatch, kind):
+    # Gaussian rows run one per run_chains call, logistic rows one theta per
+    # call; when a grid call starts, no earlier grid call's samples are alive.
+    dataset = tmp_path / "synthetic.csv"
+    write_synthetic_dataset(dataset, n_obs=30, dim=2, seed=1)
+    config = ExperimentConfig(kind=kind, dim=4, kappa=10.0, dataset=str(dataset),
+                              thetas=(0.0, 0.5, 1.0), h_values=(0.1, 0.2), n_samples=30,
+                              thin=2, ref_thin=2, seed=3)
+    held, calls = [], []
+    real_run_chains = cli.run_chains
+
+    def tracking_run_chains(target, x0, configs, noise=None, **kwargs):
+        trajectories = real_run_chains(target, x0, configs, noise, **kwargs)
+        if noise is None:  # a grid call, not the logistic reference chain
+            assert all(samples() is None for samples in held)
+            calls.append(len(configs))
+            held.extend(weakref.ref(t.samples.base) for t in trajectories)
+        return trajectories
+
+    monkeypatch.setattr(cli, "run_chains", tracking_run_chains)
+    assert len(run_sweep(config)) == 6
+    assert calls == ([1] * 6 if kind == "gaussian" else [2] * 3)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "logistic"])
 def test_cli_empty_h_grid_builds_reference_once_and_runs_no_grid_chain(tmp_path, monkeypatch,
                                                                       kind):
     # perfbench times this argv as the sweep's set-up.
@@ -731,18 +788,14 @@ def test_cli_empty_h_grid_builds_reference_once_and_runs_no_grid_chain(tmp_path,
              else ["--dim", "4", "--kappa", "10"])
     calls = {"reference": 0, "chain": 0}
     real_from_samples = diagnostics.Reference.from_samples.__func__
-    real_run_chain, real_run_chains = cli.run_chain, cli.run_chains
+    real_run_chains = cli.run_chains
 
     def counting_from_samples(cls, q, seed=0):
         calls["reference"] += 1
         return real_from_samples(cls, q, seed=seed)
 
-    # Gaussian grid rows run through run_chain, logistic ones and the
-    # logistic reference chain through run_chains; count every chain of both.
-    def counting_run_chain(*args, **kwargs):
-        calls["chain"] += 1
-        return real_run_chain(*args, **kwargs)
-
+    # Grid rows of both kinds and the logistic reference chain run through
+    # run_chains; count every chain.
     def counting_run_chains(target, x0, configs, **kwargs):
         calls["chain"] += len(configs)
         return real_run_chains(target, x0, configs, **kwargs)
@@ -752,7 +805,6 @@ def test_cli_empty_h_grid_builds_reference_once_and_runs_no_grid_chain(tmp_path,
 
     monkeypatch.setattr(diagnostics.Reference, "from_samples",
                         classmethod(counting_from_samples))
-    monkeypatch.setattr(cli, "run_chain", counting_run_chain)
     monkeypatch.setattr(cli, "run_chains", counting_run_chains)
     monkeypatch.setattr(cli, "_grid_row", no_grid_row)
     out = tmp_path / "rows.csv"

@@ -142,7 +142,7 @@ def _fresh_folded_block(a, b):
 
 
 @pytest.mark.parametrize("block", [64, diagnostics._KERNEL_BLOCK])
-def test_kernel_sums_in_one_buffer_match_fresh_products_bit_for_bit(monkeypatch, block):
+def test_kernel_sums_match_fresh_products_bit_for_bit(monkeypatch, block):
     # Sets of 150 and 100 rows: at 64 rows a block, blocks of 64, 64 and 22
     # rows against 64 and 36, in both orders, and the far rows of b's last
     # block take the direct form. At the package's block size, one block
@@ -151,16 +151,7 @@ def test_kernel_sums_in_one_buffer_match_fresh_products_bit_for_bit(monkeypatch,
     rng = np.random.default_rng(21)
     a = rng.standard_normal((150, 4))
     b = np.vstack([rng.standard_normal((70, 4)), 60.0 * rng.standard_normal((30, 4))])
-    sizes = []
-    real_product_buffer = diagnostics._product_buffer
-
-    def recording_product_buffer(a_blocks, b_blocks):
-        buffer = real_product_buffer(a_blocks, b_blocks)
-        sizes.append(buffer.size)
-        return buffer
-
-    monkeypatch.setattr(diagnostics, "_product_buffer", recording_product_buffer)
-    sigma, expected = 1.0, []
+    sigma = 1.0
     for p, q in ((a, b), (b, a), (a, a)):
         centre = q.mean(axis=0)
         q_blocks = diagnostics._scaled_blocks(q, centre, sigma)
@@ -171,10 +162,6 @@ def test_kernel_sums_in_one_buffer_match_fresh_products_bit_for_bit(monkeypatch,
         totals = [(1.0 if j == i else 2.0) * _fresh_folded_block(q_blocks[i], q_blocks[j])
                   for i in range(len(q_blocks)) for j in range(i, len(q_blocks))]
         assert diagnostics._mean_self_kernel(as_set(q), sigma) == math.fsum(totals) / len(q) ** 2
-        # One buffer per call, for the product of the call's largest blocks.
-        p_rows, q_rows = min(len(p), block), min(len(q), block)
-        expected += [p_rows * q_rows, q_rows * q_rows]
-    assert sizes == expected
 
 
 def test_folded_kernel_sum_falls_back_where_exp_could_overflow(monkeypatch):

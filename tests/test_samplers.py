@@ -432,6 +432,7 @@ def _assert_rows_match_lone_chains(target, configs, thin=1, burn_in=0):
         batch = run_chains(target, x0, configs, thin=thin, burn_in=burn_in)
         lone = [run_chain(target, x0, config) for config in configs]
     for row, alone in zip(batch, lone):
+        assert row.samples.base.shape[1] <= (configs[0].n_steps - burn_in) // thin + 2
         assert row.diverged == alone.diverged
         assert row.n_steps == alone.n_steps
         np.testing.assert_array_equal(row.solver_iterations, alone.solver_iterations)
@@ -470,14 +471,98 @@ def test_run_chains_newton_rows_match_lone_chains(theta):
     assert len({int(row.solver_iterations.sum()) for row in batch}) > 1
 
 
-def test_run_chains_rejects_mixed_configs_and_gaussian_targets():
+def test_run_chains_rejects_mixed_configs():
     target = make_logistic(n_obs=10, dim=2, seed=15)
     configs = [SamplerConfig(theta=theta, h=0.1, n_steps=3) for theta in (0.5, 1.0)]
     with pytest.raises(ValueError, match="must share theta"):
         run_chains(target, np.zeros(2), configs)
-    with pytest.raises(TypeError, match="use run_chain"):
-        run_chains(gaussian_1d(), np.zeros(1), configs[:1])
     assert run_chains(target, np.zeros(2), []) == []
+
+
+def _n_keep(n, thin, burn_in):
+    """States after burn_in + j * thin steps, j = 0, 1, ..., of n steps."""
+    return (n - burn_in) // thin + 1 if n >= burn_in else 0
+
+
+def _sliced_full_chain(target, x0, config, thin, burn_in):
+    """The oracle of thinned Gaussian chains: run_chain's every state, sliced
+    [burn_in::thin], then a diverged chain's offending iterate if its step
+    is not kept. Returns the full trajectory and the expected samples."""
+    full = run_chain(target, x0, config)
+    expected = full.samples[burn_in::thin]
+    if full.diverged and (full.n_steps < burn_in or (full.n_steps - burn_in) % thin):
+        expected = np.vstack([expected, full.samples[-1]])
+    return full, expected
+
+
+def _assert_bit_equal_and_held_alone(trajectory, full, expected, n_keep):
+    assert trajectory.diverged == full.diverged
+    assert trajectory.n_steps == full.n_steps
+    assert trajectory.samples.shape == expected.shape
+    assert trajectory.samples.tobytes() == np.ascontiguousarray(expected).tobytes()
+    # Only the kept states, and one spare row, are ever allocated.
+    assert trajectory.samples.base.shape[0] <= n_keep + 1
+
+
+@pytest.mark.parametrize("step, thin, burn_in", [
+    (None, 1, 0), (None, 7, 13), (None, 3, NOISE_BLOCK + 4), (None, NOISE_BLOCK + 44, 5),
+    (None, 2, 3 * NOISE_BLOCK),  # burn_in past n_steps: nothing is kept
+    (100, 10, 20), (101, 10, 20),  # divergence at a kept and an unkept step
+    (NOISE_BLOCK, 5, 1), (NOISE_BLOCK + 1, 5, 1),  # at a block's end (kept) and next start
+    (NOISE_BLOCK, 1, 0), (NOISE_BLOCK + 1, 1, 0),
+    (50, 3, 2 * NOISE_BLOCK),  # divergence during burn-in
+], ids=str)
+def test_gaussian_run_chains_matches_sliced_full_chain_bit_for_bit(step, thin, burn_in):
+    # The explicit step at h = 2.0746 scales the top eigendirection by
+    # -1.0746 a step, and x0 on it at 1e12 / 1.0746^(step - 1/2) first crosses
+    # the divergence threshold at that step. h = 0.5 is stable.
+    target = GaussianTarget(np.zeros(2), np.diag([1.0, 2.0]))
+    growth = 1.0746
+    if step is None:
+        x0, h = np.ones(2), 0.5
+    else:
+        x0, h = np.array([0.0, DIVERGENCE_THRESHOLD / growth ** (step - 0.5)]), 1.0 + growth
+    config = SamplerConfig(theta=0.0, h=h, n_steps=2 * NOISE_BLOCK + 37, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        full, expected = _sliced_full_chain(target, x0, config, thin, burn_in)
+        [trajectory] = run_chains(target, x0, [config], thin=thin, burn_in=burn_in)
+    assert full.diverged == (step is not None)
+    assert full.n_steps == (step or config.n_steps)
+    _assert_bit_equal_and_held_alone(trajectory, full, expected,
+                                     _n_keep(config.n_steps, thin, burn_in))
+
+
+@pytest.mark.parametrize("thin, burn_in", [(1, 0), (7, 13), (50, NOISE_BLOCK)])
+def test_gaussian_run_chains_batch_matches_sliced_full_chains(thin, burn_in):
+    # Every theta, stable and diverging step sizes, several configs a call.
+    target = build_gaussian_target(20, 100.0, seed=4)
+    big_m = target.convexity_bounds()[1]
+    x0 = np.ones(20)
+    for theta in (0.0, 0.5, 1.0):
+        configs = [SamplerConfig(theta=theta, h=h, n_steps=3 * NOISE_BLOCK + 11, seed=5)
+                   for h in (0.5 / big_m, 10.0 / big_m, 1e4 / big_m)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StabilityWarning)
+            batch = run_chains(target, x0, configs, thin=thin, burn_in=burn_in)
+            for trajectory, config in zip(batch, configs):
+                full, expected = _sliced_full_chain(target, x0, config, thin, burn_in)
+                _assert_bit_equal_and_held_alone(trajectory, full, expected,
+                                                 _n_keep(config.n_steps, thin, burn_in))
+        assert [t.diverged for t in batch] == [False, theta < 0.5, theta < 0.5]
+
+
+def test_gaussian_chains_need_no_subproblem_tolerance():
+    # The closed form solves each implicit step exactly, so eps = 0 runs.
+    target = build_gaussian_target(4, 10.0, seed=2)
+    config = SamplerConfig(theta=0.5, h=0.3, eps=0.0, n_steps=40, seed=3)
+    lone = run_chain(target, np.zeros(4), config)
+    [thinned] = run_chains(target, np.zeros(4), [config], thin=4, burn_in=2)
+    assert lone.n_steps == thinned.n_steps == 40 and not lone.diverged
+    np.testing.assert_array_equal(thinned.samples, lone.samples[2::4])
+    default_eps = run_chain(target, np.zeros(4), SamplerConfig(theta=0.5, h=0.3, n_steps=40,
+                                                               seed=3))
+    np.testing.assert_array_equal(lone.samples, default_eps.samples)
 
 
 def test_run_chain_common_noise_across_grid():
@@ -751,7 +836,10 @@ def test_stability_warning_names_the_callers_line():
     logistic = make_logistic(n_obs=10, dim=1, seed=15)
     for call in (lambda: run_chain(gaussian_1d(), np.zeros(1), config),
                  lambda: run_chain(logistic, np.zeros(1), config),
-                 lambda: run_chains(logistic, np.zeros(1), [config])):
+                 lambda: run_chains(logistic, np.zeros(1), [config]),
+                 lambda: run_chains(gaussian_1d(), np.zeros(1), [config])):
         with pytest.warns(StabilityWarning) as record:
             call()
         assert record[0].filename == __file__
+        # The line of the call itself, not of the frame that ran the lambda.
+        assert record[0].lineno == call.__code__.co_firstlineno
