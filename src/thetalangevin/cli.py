@@ -5,7 +5,8 @@ Subcommands: `gaussian` (ill-conditioned correlation-matrix Gaussian sweep),
 reference chain), `heuristic` (step-size recommendation), and `contour`
 (transition-kernel grid dump for a 2-d target). Both sweeps run through
 `run_sweep`, one CSV row per (theta, h) grid point, with common random numbers
-across the grid. Config files are parsed by the `ExperimentConfig` annotations.
+across the grid. A config file may set the `ExperimentConfig` fields behind its
+subcommand's flags, parsed by their annotations.
 """
 
 import argparse
@@ -48,7 +49,7 @@ class ExperimentConfig:
 
     kind: str = "gaussian"
     dim: int = 100
-    kappa: float = 1.0
+    kappa: float | None = 1.0  # heuristic: None unless given
     dataset: str | None = None
     label_col: int = 0
     prior_precision: float = 1.0
@@ -82,6 +83,8 @@ class ExperimentConfig:
             raise ValueError("theta values must lie in [0, 1]")
         if self.burn_in < 0:
             raise ValueError("burn-in must be >= 0")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.h_count < 0:
             raise ValueError(f"h_count must be >= 0, got {self.h_count}")
         if not self.eps >= 0:
@@ -352,10 +355,10 @@ def grid_rows_to_csv(rows: list[GridRow]) -> list[list[str]]:
              "1" if r.diverged else "0"] for r in rows]
 
 
-def load_config_file(path: str) -> dict:
-    """Parse a key=value config file (# comments and blank lines allowed)."""
+def load_config_file(path: str, keys) -> dict:
+    """Parse a key=value config file (# comments and blank lines allowed)
+    whose keys all lie in keys."""
     values = {}
-    valid = {f.name for f in fields(ExperimentConfig)}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -365,7 +368,7 @@ def load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}: line {lineno}: expected key=value")
             key, _, raw = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in valid:
+            if key not in keys:
                 raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
             values[key] = raw.strip()
     return values
@@ -407,18 +410,22 @@ def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key=value config file; flags win")
     parser.add_argument("--theta", action="append", type=float, dest="thetas",
                         metavar="T", help="theta value (repeatable)")
+    parser.add_argument("--out")
+    parser.add_argument("--overwrite", action="store_true", default=None)
+
+
+def _add_sweep_flags(parser: argparse.ArgumentParser):
+    """The common flags plus a sweep's h grid, chain length, seed and thinning."""
+    _add_common_flags(parser)
     parser.add_argument("--h", action="append", type=float, dest="h_values",
                         metavar="H", help="explicit step size (repeatable)")
     parser.add_argument("--h-min", type=float)
     parser.add_argument("--h-max", type=float)
     parser.add_argument("--h-count", type=int)
     parser.add_argument("--samples", type=int, dest="n_samples")
-    parser.add_argument("--eps", type=float)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--burn-in", type=int, dest="burn_in")
     parser.add_argument("--thin", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--overwrite", action="store_true", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,14 +434,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sampling experiments with theta-method Langevin chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviations: a flag of another subcommand must be an error, not
+    # read as the prefix of one of this one's, as heuristic --h is of --help.
 
-    p_gauss = sub.add_parser("gaussian", help="correlation-matrix Gaussian sweep")
-    _add_common_flags(p_gauss)
+    p_gauss = sub.add_parser("gaussian", help="correlation-matrix Gaussian sweep",
+                             allow_abbrev=False)
+    _add_sweep_flags(p_gauss)
     p_gauss.add_argument("--dim", type=int)
     p_gauss.add_argument("--kappa", type=float)
 
-    p_logit = sub.add_parser("logistic", help="logistic-regression posterior sweep")
-    _add_common_flags(p_logit)
+    p_logit = sub.add_parser("logistic", help="logistic-regression posterior sweep",
+                             allow_abbrev=False)
+    _add_sweep_flags(p_logit)
+    p_logit.add_argument("--eps", type=float, help="inner-solve gradient-norm tolerance")
     p_logit.add_argument("--dataset")
     p_logit.add_argument("--label-col", type=int, dest="label_col")
     p_logit.add_argument("--lambda", type=float, dest="prior_precision",
@@ -443,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_logit.add_argument("--ref-thin", type=int, dest="ref_thin")
     p_logit.add_argument("--ref-h", type=float, dest="ref_h")
 
-    p_heur = sub.add_parser("heuristic", help="step-size recommendation")
+    p_heur = sub.add_parser("heuristic", help="step-size recommendation",
+                            allow_abbrev=False)
     _add_common_flags(p_heur)
     p_heur.add_argument("--dim", type=int)
     p_heur.add_argument("--m", type=float, help="smallest curvature eigenvalue")
@@ -453,8 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shortcut for m=1, M=kappa")
     p_heur.add_argument("--spectrum", help="file with one eigenvalue per line")
 
-    p_cont = sub.add_parser("contour", help="transition-kernel grid dump (2-d)")
+    p_cont = sub.add_parser("contour", help="transition-kernel grid dump (2-d)",
+                            allow_abbrev=False)
     _add_common_flags(p_cont)
+    p_cont.add_argument("--h", action="append", type=float, dest="h_values",
+                        metavar="H", help="step size (at most one; default 1)")
+    p_cont.add_argument("--seed", type=int)
     p_cont.add_argument("--kappa", type=float)
     p_cont.add_argument("--dataset")
     p_cont.add_argument("--label-col", type=int, dest="label_col")
@@ -469,20 +486,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace, kind: str) -> ExperimentConfig:
-    """Defaults, then config-file values, then flags; the subcommand sets kind."""
-    config = ExperimentConfig(kind=kind, seed=_default_seed())
+    """Defaults, then config-file values, then flags; the subcommand sets kind.
+    The subcommand's settings are the ExperimentConfig fields among its flag
+    destinations, the attributes of args: a config file may set only those,
+    and the seed defaults to THETALANGEVIN_SEED only where it is one."""
+    settings = set(vars(args)) & {f.name for f in fields(ExperimentConfig)}
+    config = ExperimentConfig(kind=kind)
     if kind == "gaussian":
         config = replace(config, thin=1)
     elif kind == "heuristic":
-        config = replace(config, thetas=(0.5,))
-    values = {}
-    if getattr(args, "config", None):
-        values = _coerce_config_values(load_config_file(args.config))
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            values[f.name] = value
-    values["kind"] = kind
+        config = replace(config, thetas=(0.5,), kappa=None)
+    values = {"seed": _default_seed()} if "seed" in settings else {}
+    if args.config:
+        values |= _coerce_config_values(load_config_file(args.config, settings))
+    values |= {name: getattr(args, name) for name in settings
+               if getattr(args, name) is not None}
     return replace(config, **values)
 
 
@@ -510,8 +528,8 @@ def main(argv=None) -> int:
             if args.spectrum:
                 eigenvalues = np.loadtxt(args.spectrum, ndmin=1)
             else:
-                if args.kappa is not None:
-                    m, big_m = 1.0, float(args.kappa)
+                if config.kappa is not None:
+                    m, big_m = 1.0, config.kappa
                 elif args.m is not None and args.big_m is not None:
                     m, big_m = float(args.m), float(args.big_m)
                 else:

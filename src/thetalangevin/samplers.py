@@ -96,7 +96,9 @@ class NoiseStream:
         """Read-only (NOISE_BLOCK, dim) noise of steps b*NOISE_BLOCK onward."""
         # Philox at counter c + 1 is its stream at c shifted by four draws, so
         # blocks start 2^128 apart, beyond any block's own advance.
-        bitgen = np.random.Philox(key=[self.seed, self.stream], counter=int(b) << 128)
+        # A uint64 array: numpy reads a list with a seed >= 2^63 through float64.
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        bitgen = np.random.Philox(key=key, counter=int(b) << 128)
         draws = np.random.Generator(bitgen).standard_normal((NOISE_BLOCK, self.dim))
         draws.flags.writeable = False
         return draws
@@ -306,7 +308,7 @@ def run_chain(target: TargetDensity, x0, config: SamplerConfig,
     method at large step sizes. A failed inner solve raises NumericalError
     naming (theta, h) and the step, instead of contaminating the trajectory.
     """
-    return _run_batch(target, x0, [config], noise, 1, 0, stacklevel=3)[0]
+    return _run_batch(target, x0, [config], noise, 1, 0)[0]
 
 
 def run_chains(target: TargetDensity, x0, configs, noise: NoiseStream | None = None,
@@ -324,12 +326,13 @@ def run_chains(target: TargetDensity, x0, configs, noise: NoiseStream | None = N
     another order. A diverged row leaves the batch; a failed inner solve
     raises NumericalError naming the row's (theta, h) and the step.
     """
-    return _run_batch(target, x0, configs, noise, thin, burn_in, stacklevel=3)
+    return _run_batch(target, x0, configs, noise, thin, burn_in)
 
 
 def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, thin: int,
-               burn_in: int, stacklevel: int) -> list[Trajectory]:
-    """run_chains; stacklevel counts the frames up to the public caller."""
+               burn_in: int) -> list[Trajectory]:
+    """run_chains; its only callers are run_chain and run_chains, so
+    stacklevel 3 names the line that called them."""
     if not configs:
         return []
     theta, eps, n, seed = configs[0].theta, configs[0].eps, configs[0].n_steps, configs[0].seed
@@ -348,7 +351,7 @@ def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, th
             warnings.warn(
                 f"theta={config.theta} < 1/2 with h={config.h} >= {bound:.6g}: "
                 "outside the guaranteed-stability regime; the chain may diverge",
-                StabilityWarning, stacklevel=stacklevel,
+                StabilityWarning, stacklevel=3,
             )
     if noise is None:
         noise = NoiseStream(seed, target.dim)

@@ -337,6 +337,17 @@ def test_cli_heuristic_spectrum_file_matches_model(tmp_path, capsys):
     assert from_file == pytest.approx(from_model, rel=1e-12)
 
 
+def test_cli_heuristic_reads_kappa_and_dim_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "heuristic.cfg"
+    cfg.write_text("kappa = 10\ndim = 4\n")
+    assert main(["heuristic", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["heuristic", "--kappa", "10", "--dim", "4"]) == 0
+    assert from_file == capsys.readouterr().out and "h_hat=" in from_file
+    assert main(["heuristic", "--dim", "4"]) == 1
+    assert "error: heuristic needs --spectrum, --kappa, or --m/--M" in capsys.readouterr().err
+
+
 def test_cli_heuristic_rejects_theta_zero(capsys):
     assert main(["heuristic", "--kappa", "10", "--theta", "0"]) == 1
     assert "theta" in capsys.readouterr().err
@@ -439,7 +450,8 @@ def test_config_file_roundtrip(tmp_path):
         "n_samples = 60\n"
         "seed = 3\n"
     )
-    values = load_config_file(str(path))
+    values = load_config_file(str(path), {"dim", "kappa", "thetas", "h_values", "n_samples",
+                                          "seed"})
     assert values["dim"] == "4"
     assert values["thetas"] == "0.0,0.5"
 
@@ -455,15 +467,16 @@ def test_config_file_flags_win(tmp_path):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
-def test_config_file_kind_does_not_override_subcommand(tmp_path):
-    settings = "dim=4\nkappa=10\nthetas=0.5\nh_values=1.0\nn_samples=50\nseed=3\n"
-    plain, with_kind = tmp_path / "plain.cfg", tmp_path / "kind.cfg"
-    plain.write_text(settings)
-    with_kind.write_text("kind = logistic\n" + settings)
-    out_plain, out_kind = tmp_path / "plain.csv", tmp_path / "kind.csv"
-    assert main(["gaussian", "--config", str(plain), "--out", str(out_plain)]) == 0
-    assert main(["gaussian", "--config", str(with_kind), "--out", str(out_kind)]) == 0
-    assert out_plain.read_bytes() == out_kind.read_bytes()
+def test_config_file_rejects_kind_under_every_subcommand(tmp_path, capsys, monkeypatch):
+    # The subcommand sets kind; a file's kind is an unknown key, not ignored.
+    cfg = tmp_path / "kind.cfg"
+    cfg.write_text("kind = logistic\n")
+    _forbid_work(monkeypatch)
+    for command in ("gaussian", "logistic", "heuristic", "contour"):
+        assert main(_WRITING_ARGV[command] + ["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {cfg}: line 1: unknown key 'kind'" in captured.err
 
 
 def test_config_file_parses_every_field_by_annotation(tmp_path):
@@ -480,7 +493,7 @@ def test_config_file_parses_every_field_by_annotation(tmp_path):
     cfg = tmp_path / "all.cfg"
     cfg.write_text("".join(f"{key} = {text.get(key, value)}\n"
                            for key, value in expected.items()))
-    parsed = _coerce_config_values(load_config_file(str(cfg)))
+    parsed = _coerce_config_values(load_config_file(str(cfg), set(expected)))
     assert parsed == expected
     for key, value in expected.items():
         assert type(parsed[key]) is type(value), key
@@ -494,8 +507,72 @@ def test_config_file_parses_every_field_by_annotation(tmp_path):
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dimension=4\n")
-    with pytest.raises(ValueError, match="unknown key"):
-        load_config_file(str(cfg))
+    with pytest.raises(ValueError, match="unknown key 'dimension'"):
+        load_config_file(str(cfg), {"dim"})
+
+
+_SWEEP_DESTS = {"config", "thetas", "out", "overwrite", "h_values", "h_min", "h_max",
+                "h_count", "n_samples", "seed", "burn_in", "thin"}
+# Each subcommand's flag destinations: the settings its code reads.
+_SUBCOMMAND_DESTS = {
+    "gaussian": _SWEEP_DESTS | {"dim", "kappa"},
+    "logistic": _SWEEP_DESTS | {"eps", "dataset", "label_col", "prior_precision", "ref_steps",
+                                "ref_thin", "ref_h"},
+    "heuristic": {"config", "thetas", "out", "overwrite", "dim", "m", "big_m", "kappa",
+                  "spectrum"},
+    "contour": {"config", "thetas", "out", "overwrite", "h_values", "seed", "kappa", "dataset",
+                "label_col", "prior_precision", "source", "grid_count", "span", "dump_matrix"},
+}
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    for command, dests in _SUBCOMMAND_DESTS.items():
+        assert set(vars(cli.build_parser().parse_args([command]))) == dests | {"command"}
+    assert [len(dests) for dests in _SUBCOMMAND_DESTS.values()] == [14, 19, 9, 14]
+
+
+@pytest.mark.parametrize("command, flag", [("gaussian", "--eps")]
+                         + [("heuristic", flag) for flag in (
+                             "--h", "--h-min", "--h-max", "--h-count", "--samples", "--eps",
+                             "--seed", "--burn-in", "--thin")]
+                         + [("contour", flag) for flag in (
+                             "--h-min", "--h-max", "--h-count", "--samples", "--eps",
+                             "--burn-in", "--thin")])
+def test_cli_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, monkeypatch, command,
+                                                                flag):
+    # heuristic --h is not taken as an abbreviation of --help.
+    _forbid_work(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(_WRITING_ARGV[command] + [flag, "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {flag} 1" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_DESTS))
+def test_config_file_takes_only_the_subcommand_settings(tmp_path, capsys, monkeypatch, command):
+    settings = _SUBCOMMAND_DESTS[command] & _FIELDS
+    assert len(settings) == {"gaussian": 13, "logistic": 18, "heuristic": 5,
+                             "contour": 12}[command]
+    _forbid_work(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    for key in sorted(_FIELDS - settings):
+        cfg.write_text(f"{key} = 1\n")
+        assert main(_WRITING_ARGV[command] + ["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {cfg}: line 1: unknown key {key!r}" in captured.err
+    seen = []
+
+    def capture_keys(path, keys):
+        seen.append(set(keys))
+        raise ValueError("keys captured")
+
+    monkeypatch.setattr(cli, "load_config_file", capture_keys)
+    assert main(_WRITING_ARGV[command] + ["--config", str(cfg)]) == 1
+    assert seen == [settings]
 
 
 @pytest.mark.parametrize("value", ["on", "ture", "2", ""])
@@ -535,6 +612,45 @@ def test_seed_env_var_sets_default(tmp_path, monkeypatch):
     monkeypatch.setenv("THETALANGEVIN_SEED", "123")
     assert main(argv + ["--out", str(out_env)]) == 0
     assert out_default.read_bytes() != out_env.read_bytes()
+
+
+def test_seed_env_var_is_read_only_by_subcommands_with_seed(capsys, monkeypatch):
+    monkeypatch.setenv("THETALANGEVIN_SEED", "abc")
+    assert main(["heuristic", "--kappa", "10", "--dim", "4"]) == 0
+    capsys.readouterr()
+    _forbid_work(monkeypatch)
+    for command in ("gaussian", "logistic", "contour"):
+        assert main(_WRITING_ARGV[command]) == 1
+        assert "error: invalid literal for int() with base 10: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("where", ["flag", "config", "env"])
+@pytest.mark.parametrize("command", ["gaussian", "logistic", "contour"])
+def test_cli_rejects_seed_outside_uint64_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                         where, seed):
+    # Checked up front: numpy refuses a negative seed only when a generator is
+    # seeded with it, for logistic after the whole reference chain.
+    _forbid_work(monkeypatch)
+    argv = list(_WRITING_ARGV[command])
+    if where == "flag":
+        argv += ["--seed", str(seed)]
+    elif where == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("THETALANGEVIN_SEED", str(seed))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: seed must be in [0, 2**64), got {seed}" in captured.err
+
+
+def test_cli_runs_at_the_largest_seed(tmp_path):
+    out = tmp_path / "rows.csv"
+    assert main(_WRITING_ARGV["gaussian"] + ["--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_trajectory_and_matrix_dumps(tmp_path):
@@ -649,7 +765,7 @@ def test_cli_rejects_non_finite_h_values(tmp_path, capsys, monkeypatch, kind):
 
 @pytest.mark.parametrize("command, field, value, bound", [
     ("gaussian", "h_count", "-1", ">= 0"),
-    ("gaussian", "eps", "-1", ">= 0"),
+    ("logistic", "eps", "-1", ">= 0"),
     ("logistic", "ref_h", "0", "positive and finite"),
     ("logistic", "ref_h", "nan", "positive and finite"),
 ])
@@ -858,7 +974,8 @@ _FORBIDDEN_MODULES = ("scipy", "numpy.ma")
 
 def _run_cli_subprocess(code):
     """Standard output of code, run in a fresh interpreter that has
-    forbidden_modules(), the sorted names of loaded _FORBIDDEN_MODULES."""
+    forbidden_modules(), the sorted names of loaded _FORBIDDEN_MODULES and,
+    as the suite does, raises a RuntimeWarning as an error."""
     code = ("import sys\n"
             f"FORBIDDEN = {_FORBIDDEN_MODULES!r}\n"
             "def forbidden_modules():\n"
@@ -868,8 +985,8 @@ def _run_cli_subprocess(code):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                            env=env, capture_output=True, text=True, timeout=60, check=True)
     return result.stdout.strip()
 
 

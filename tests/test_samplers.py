@@ -73,6 +73,17 @@ def test_noise_golden_values():
                                   [0.3958225380089213, -0.05076228753447183, 0.2652247621415212])
 
 
+def test_noise_keys_are_exact_for_seeds_past_int64_and_negative_seeds():
+    # A key list read through float64 gave 2^63 + 5 and 2^63 + 6 one key,
+    # and -1 and -3 (reduced mod 2^64) key 0, with a cast RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((2**63 + 5, 2**63 + 6), (-1, -3)):
+            assert not np.array_equal(NoiseStream(a, 3).block(0), NoiseStream(b, 3).block(0))
+        np.testing.assert_array_equal(NoiseStream(-1, 3).block(0),
+                                      NoiseStream(2**64 - 1, 3).block(0))
+
+
 def test_noise_stream_moments():
     stream = NoiseStream(5, 3)
     draws = noise_rows(stream, 20_000)
