@@ -403,7 +403,11 @@ def _coerce_config_values(raw: dict) -> dict:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{SEED_ENV_VAR} = {raw!r}: {exc}") from exc
 
 
 def _add_common_flags(parser: argparse.ArgumentParser):
@@ -485,23 +489,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace, kind: str) -> ExperimentConfig:
+def config_from_args(args: argparse.Namespace, kind: str) -> tuple[ExperimentConfig, set]:
     """Defaults, then config-file values, then flags; the subcommand sets kind.
     The subcommand's settings are the ExperimentConfig fields among its flag
     destinations, the attributes of args: a config file may set only those,
-    and the seed defaults to THETALANGEVIN_SEED only where it is one."""
+    and the seed defaults to THETALANGEVIN_SEED only where it is one. Returns
+    the config and the names of the settings a flag or the file gave; the
+    environment is read only where neither gave a seed."""
     settings = set(vars(args)) & {f.name for f in fields(ExperimentConfig)}
     config = ExperimentConfig(kind=kind)
     if kind == "gaussian":
         config = replace(config, thin=1)
     elif kind == "heuristic":
         config = replace(config, thetas=(0.5,), kappa=None)
-    values = {"seed": _default_seed()} if "seed" in settings else {}
+    given = {}
     if args.config:
-        values |= _coerce_config_values(load_config_file(args.config, settings))
-    values |= {name: getattr(args, name) for name in settings
-               if getattr(args, name) is not None}
-    return replace(config, **values)
+        given |= _coerce_config_values(load_config_file(args.config, settings))
+    given |= {name: getattr(args, name) for name in settings
+              if getattr(args, name) is not None}
+    if "seed" in settings and "seed" not in given:
+        config = replace(config, seed=_default_seed())
+    return replace(config, **given), set(given)
+
+
+def _setting_name(args: argparse.Namespace, name: str, flag: str) -> str:
+    """flag if it was given, else the config-file key that set name."""
+    return flag if getattr(args, name) is not None else f"{name} in --config"
+
+
+def _heuristic_spectrum(args: argparse.Namespace, config: ExperimentConfig,
+                        given: set) -> np.ndarray:
+    """The curvature spectrum of heuristic's one source: a --spectrum file,
+    or dim eigenvalues decaying log-linearly from 1 to kappa or from m to M."""
+    sources = [name for name, used in (
+        ("--spectrum", args.spectrum is not None),
+        (_setting_name(args, "kappa", "--kappa"), config.kappa is not None),
+        ("--m/--M", args.m is not None or args.big_m is not None)) if used]
+    if len(sources) > 1:
+        raise ValueError(f"heuristic takes one curvature source, got {' and '.join(sources)}")
+    if args.spectrum is not None:
+        if "dim" in given:
+            raise ValueError(f"{_setting_name(args, 'dim', '--dim')} sizes a --kappa or "
+                             "--m/--M spectrum; it cannot be used with --spectrum")
+        return np.loadtxt(args.spectrum, ndmin=1)
+    if config.kappa is not None:
+        m, big_m = 1.0, config.kappa
+    elif args.m is not None and args.big_m is not None:
+        m, big_m = float(args.m), float(args.big_m)
+    else:
+        raise ValueError("heuristic needs --spectrum, --kappa, or --m/--M")
+    return matrixgen.exp_decay_spectrum(matrixgen.SpectralModel(d=config.dim, m=m, M=big_m))
 
 
 def _emit(config: ExperimentConfig, header: list[str], csv_rows) -> None:
@@ -515,7 +552,7 @@ def _emit(config: ExperimentConfig, header: list[str], csv_rows) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args, args.command)
+        config, given = config_from_args(args, args.command)
         for path in (config.out, getattr(args, "dump_matrix", None)):
             if path is not None:
                 check_out_path(path, config.overwrite)
@@ -525,18 +562,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "heuristic":
-            if args.spectrum:
-                eigenvalues = np.loadtxt(args.spectrum, ndmin=1)
-            else:
-                if config.kappa is not None:
-                    m, big_m = 1.0, config.kappa
-                elif args.m is not None and args.big_m is not None:
-                    m, big_m = float(args.m), float(args.big_m)
-                else:
-                    raise ValueError("heuristic needs --spectrum, --kappa, or --m/--M")
-                eigenvalues = matrixgen.exp_decay_spectrum(
-                    matrixgen.SpectralModel(d=config.dim, m=m, M=big_m))
-            results = run_heuristic(config, eigenvalues)
+            results = run_heuristic(config, _heuristic_spectrum(args, config, given))
             csv_rows = [[_fmt(t), _fmt(h), _fmt(obj)] for t, h, obj in results]
             write_rows(config.out, ["theta", "h_hat", "objective"],
                        csv_rows, config.overwrite)
@@ -545,9 +571,15 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "contour":
-            if args.dump_matrix and config.dataset is not None:
-                raise ValueError("--dump-matrix writes a Gaussian target's covariance; "
-                                 "it cannot be used with --dataset")
+            if config.dataset is not None:
+                if args.dump_matrix:
+                    raise ValueError("--dump-matrix writes a Gaussian target's covariance; "
+                                     "it cannot be used with --dataset")
+                unread = [_setting_name(args, name, "--" + name)
+                          for name in ("kappa", "seed") if name in given]
+                if unread:
+                    raise ValueError(f"{' and '.join(unread)} cannot be used with --dataset: "
+                                     "only the Gaussian target reads kappa and seed")
             target = build_contour_target(config)
             rows = run_kernel_contour(config, target)
             if args.dump_matrix:

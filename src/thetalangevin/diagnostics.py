@@ -28,11 +28,13 @@ the two bandwidths or the distance between the sets. Coordinates whose grids
 share FFT lengths are binned, transformed (one 2-D rfft/irfft along the grid
 axis) and searched together, in batches of no more grid points per side than
 2^14 or the longest grid, whichever is more; the distribution functions at
-every coordinate's cuts are then evaluated together, in cache-sized chunks,
-from column-major copies of the sets, with a numpy port of Cephes' normal
-distribution function that rounds as scipy.special.ndtr does; at the cuts
--inf and +inf they are exactly 0 and 1 and are not evaluated, and kernel
-terms below 1e-29 are evaluated only where they can change a sum.
+every coordinate's cuts are then evaluated together, in chunks of 2^14
+kernel terms (about 1.2 MB of work arrays, sized so that they do not raise a
+400-sample sweep's peak memory), from column-major copies of the sets, with
+a numpy port of Cephes' normal distribution function that rounds as
+scipy.special.ndtr does; at the cuts -inf and +inf they are exactly 0 and 1
+and are not evaluated, and kernel terms below 1e-29 are evaluated only
+where they can change a sum.
 
 Maximum mean discrepancy (MMD): Gaussian-kernel V-statistic (Gretton et al.
 2012) with the median pairwise distance setting the bandwidth. Kernel sums are
@@ -79,13 +81,20 @@ _KDE_REACH_BANDWIDTHS = math.sqrt(2.0 * math.log(1.0 / _SIGN_FLOOR))
 # side, or one grid if that is longer: fewer calls, and a bounded peak.
 _BATCH_POINTS = 1 << 14
 # mmtv evaluates KDE distribution functions this many kernel terms at a time
-# (one cut point's N terms at least). One chunk's block and _Ndtr work arrays
-# take about 2 MB (the measuring host's L2 cache per core) and amortize its
-# ~110 numpy calls. On the README gaussian sweep's arguments at finite cuts
-# (single-threaded BLAS, best of five) _Ndtr takes 1.5 to 1.6 times as long
-# per term as scipy's ndtr: 32.5 against 22.0 ns and, in a second run, 40.2
-# against 24.9 ns. 2^14 and 2^16 terms were no faster beyond that spread.
-_CDF_CHUNK = 1 << 15
+# (one cut point's N terms at least). One chunk's block, upper-bound copy and
+# _Ndtr work arrays take about 71 bytes a term, 1.2 MB here, and are freed
+# after each call. On a d=20 sweep of 400 samples (perfbench's gaussian_sweep)
+# this transient sets the process's peak memory, which 2^15 terms lifted by
+# about 0.9 MB; 2^12 and 2^13 peaked no lower than 2^14. There, 2^14 was no
+# slower: the sweep's 14 mmtv calls took 96/78/58 ms against 101/100/64 ms
+# at 2^15 (best of five, three alternating rounds). At N = 5000 a chunk
+# holds 3 cuts instead of 6, and the README gaussian sweep's mmtv calls took
+# about 5% longer. Each cut's sum is its own row, so the chunk size changes
+# no value. On that README sweep's arguments at finite cuts (single-threaded
+# BLAS, best of five) _Ndtr takes 1.5 to 1.6 times as long per term as
+# scipy's ndtr: 32.5 against 22.0 ns and, in a second run, 40.2 against
+# 24.9 ns.
+_CDF_CHUNK = 1 << 14
 # exp(-x^2 / 2) is exactly 0.0 in doubles for x above this.
 _EXP_UNDERFLOW = math.sqrt(2.0 * 746.0)
 

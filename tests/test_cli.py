@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -348,6 +349,39 @@ def test_cli_heuristic_reads_kappa_and_dim_from_config_file(tmp_path, capsys):
     assert "error: heuristic needs --spectrum, --kappa, or --m/--M" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--spectrum", "unread.txt", "--kappa", "1000", "--dim", "7"], "--spectrum and --kappa"),
+    (["--kappa", "10", "--m", "1", "--M", "500"], "--kappa and --m/--M"),
+    (["--kappa", "10", "--M", "500"], "--kappa and --m/--M"),
+    (["--spectrum", "unread.txt", "--m", "1", "--M", "5"], "--spectrum and --m/--M"),
+    (["--config", "{cfg}", "--m", "1", "--M", "5"], "kappa in --config and --m/--M"),
+    (["--config", "{cfg}", "--spectrum", "unread.txt"], "--spectrum and kappa in --config"),
+], ids=["spectrum-kappa", "kappa-m-M", "kappa-M", "spectrum-m-M", "file-kappa-m-M",
+        "file-kappa-spectrum"])
+def test_cli_heuristic_rejects_two_curvature_sources_before_any_work(tmp_path, capsys,
+                                                                      monkeypatch, flags, named):
+    cfg = tmp_path / "heuristic.cfg"
+    cfg.write_text("kappa = 10\n")
+    _forbid_work(monkeypatch)
+    assert main(["heuristic", *(f.format(cfg=cfg) for f in flags)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: heuristic takes one curvature source, got {named}\n" == captured.err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_cli_heuristic_rejects_dim_with_spectrum(tmp_path, capsys, monkeypatch, where):
+    # A spectrum file sets its own length; --dim sizes only a model spectrum.
+    cfg = tmp_path / "heuristic.cfg"
+    cfg.write_text("dim = 7\n")
+    _forbid_work(monkeypatch)
+    extra = ["--dim", "7"] if where == "flag" else ["--config", str(cfg)]
+    assert main(["heuristic", "--spectrum", "unread.txt", *extra]) == 1
+    name = "--dim" if where == "flag" else "dim in --config"
+    assert capsys.readouterr().err == (f"error: {name} sizes a --kappa or --m/--M spectrum; "
+                                       "it cannot be used with --spectrum\n")
+
+
 def test_cli_heuristic_rejects_theta_zero(capsys):
     assert main(["heuristic", "--kappa", "10", "--theta", "0"]) == 1
     assert "theta" in capsys.readouterr().err
@@ -532,6 +566,24 @@ def test_each_subcommand_has_only_the_flags_it_reads():
     assert [len(dests) for dests in _SUBCOMMAND_DESTS.values()] == [14, 19, 9, 14]
 
 
+def test_readme_commands_parse():
+    # A flag removed or renamed in the parser must not leave README stale.
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        blocks = re.findall(r"^```sh\n(.*?)^```", handle.read(), re.DOTALL | re.MULTILINE)
+    commands = [shlex.split(line)[1:] for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("thetalangevin ")]
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: thetalangevin {shlex.join(argv)}")
+
+
 @pytest.mark.parametrize("command, flag", [("gaussian", "--eps")]
                          + [("heuristic", flag) for flag in (
                              "--h", "--h-min", "--h-max", "--h-count", "--samples", "--eps",
@@ -617,11 +669,14 @@ def test_seed_env_var_sets_default(tmp_path, monkeypatch):
 def test_seed_env_var_is_read_only_by_subcommands_with_seed(capsys, monkeypatch):
     monkeypatch.setenv("THETALANGEVIN_SEED", "abc")
     assert main(["heuristic", "--kappa", "10", "--dim", "4"]) == 0
+    # A seed given by flag leaves the environment unread.
+    assert main(_WRITING_ARGV["gaussian"] + ["--kappa", "2", "--seed", "1"]) == 0
     capsys.readouterr()
     _forbid_work(monkeypatch)
     for command in ("gaussian", "logistic", "contour"):
         assert main(_WRITING_ARGV[command]) == 1
-        assert "error: invalid literal for int() with base 10: 'abc'" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: THETALANGEVIN_SEED = 'abc': "
+                                           "invalid literal for int() with base 10: 'abc'\n")
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -703,6 +758,39 @@ def test_cli_contour_dump_matrix_rejects_dataset(tmp_path, capsys, monkeypatch):
                  "--grid-count", "4", "--dump-matrix", str(dumped)]) == 1
     assert "--dump-matrix" in capsys.readouterr().err
     assert not dumped.exists()
+
+
+@pytest.mark.parametrize("flags, config, named", [
+    (["--kappa", "4", "--seed", "4"], "", "--kappa and --seed"),
+    (["--kappa", "400"], "", "--kappa"),
+    (["--seed", "400"], "", "--seed"),
+    ([], "kappa = 4\n", "kappa in --config"),
+    (["--kappa", "4"], "seed = 4\n", "--kappa and seed in --config"),
+], ids=["kappa-seed", "kappa", "seed", "file-kappa", "kappa-file-seed"])
+def test_cli_contour_rejects_gaussian_settings_with_dataset(tmp_path, capsys, monkeypatch,
+                                                            flags, config, named):
+    # The logistic target reads neither kappa nor seed: without this check
+    # --kappa 4 --seed 4 and --kappa 400 --seed 400 print identical bytes.
+    cfg = tmp_path / "contour.cfg"
+    cfg.write_text(config)
+    _forbid_work(monkeypatch)
+    assert main(["contour", "--dataset", "unread.csv", "--theta", "0.5", "--grid-count", "3",
+                 "--config", str(cfg), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {named} cannot be used with --dataset: "
+                            "only the Gaussian target reads kappa and seed\n")
+
+
+def test_cli_contour_with_dataset_allows_seed_env_var(tmp_path, capsys, monkeypatch):
+    dataset = tmp_path / "one_feature.csv"
+    write_synthetic_dataset(dataset, n_obs=50, dim=1, seed=3)
+    argv = ["contour", "--dataset", str(dataset), "--theta", "0.5", "--grid-count", "3"]
+    assert main(argv) == 0
+    unseeded = capsys.readouterr().out
+    monkeypatch.setenv("THETALANGEVIN_SEED", "400")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unseeded and unseeded.count("\n") == 9
 
 
 def test_cli_contour_dump_matrix_builds_target_once(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from thetalangevin import (
     mmd2,
     mmtv,
 )
+from thetalangevin import cli
 from thetalangevin.cli import ExperimentConfig, run_sweep
 from thetalangevin.diagnostics import silverman_bandwidth
 
@@ -535,6 +536,60 @@ def test_mmtv_memory_stays_small_beside_a_wide_set(shape, spread):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _gaussian_sweep_row():
+    """The theta = 1/2 chain at the fourth of six default steps of the d=20,
+    kappa=100 gaussian sweep at 400 samples, seed 1, and the sweep's
+    reference for it."""
+    config = ExperimentConfig(kind="gaussian", dim=20, kappa=100.0, thetas=(0.5,),
+                              h_count=6, n_samples=400, seed=1, thin=1)
+    target, h_half, build_reference = cli._gaussian_sweep_setup(config)
+    h_grid = cli.resolve_h_grid(config, target.convexity_bounds()[1], h_half)
+    trajectory = next(cli._row_chains(target, config, 0.5, h_grid[3:4]))
+    reference = Reference.from_samples(build_reference(), seed=config.seed)
+    return SampleSet(trajectory.samples[1:]), reference
+
+
+def test_mmtv_memory_stays_small_on_a_sweep_row(monkeypatch):
+    # Here 104 finite cuts of 400 terms each span several 2^14-term chunks
+    # (81 cuts fill one of 2^15). A chunk's work arrays, about 71 bytes a
+    # term, set the peak, which read 2.77 MB with 2^15-term chunks.
+    p, reference = _gaussian_sweep_row()
+    finite_cuts = []
+    real_kde_cdfs = diagnostics._kde_cdfs
+
+    def counting_kde_cdfs(samples, bandwidths, x, cols):
+        finite_cuts.append(int(np.isfinite(x).sum()))
+        return real_kde_cdfs(samples, bandwidths, x, cols)
+
+    monkeypatch.setattr(diagnostics, "_kde_cdfs", counting_kde_cdfs)
+    mmtv(p, reference)
+    assert min(finite_cuts) >= 81
+    tracemalloc.start()
+    try:
+        mmtv(p, reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+def test_kde_cdfs_do_not_depend_on_the_chunk_size(monkeypatch):
+    # Each cut's sum is its own row, so chunking cannot change a value. The
+    # 240 finite cuts of 500 terms span 4 to 120 chunks; the far-left cuts
+    # take the full re-evaluation path.
+    rng = np.random.default_rng(13)
+    samples = np.asfortranarray(rng.standard_normal((500, 3)) * [0.05, 1.0, 20.0])
+    bandwidths = np.array([0.01, 0.3, 5.0])
+    x = np.concatenate([[-np.inf, np.inf], rng.uniform(-80.0, 80.0, 200),
+                        samples[:, 0].min() - rng.uniform(0.1, 0.6, 40)])
+    cols = np.concatenate([[0, 2], rng.integers(0, 3, 200), np.zeros(40, dtype=int)])
+    values = []
+    for chunk in (1 << 10, 1 << 14, 1 << 15):
+        monkeypatch.setattr(diagnostics, "_CDF_CHUNK", chunk)
+        values.append(diagnostics._kde_cdfs(samples, bandwidths, x, cols).tobytes())
+    assert values[0] == values[1] == values[2]
 
 
 def test_mmtv_rejects_constant_coordinate():
