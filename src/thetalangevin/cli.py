@@ -81,6 +81,8 @@ class ExperimentConfig:
         self.thetas = tuple(float(t) for t in self.thetas)
         if any(not 0.0 <= t <= 1.0 for t in self.thetas):
             raise ValueError("theta values must lie in [0, 1]")
+        if self.kappa is not None and not 1.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 1, got {self.kappa}")
         if self.burn_in < 0:
             raise ValueError("burn-in must be >= 0")
         if not 0 <= self.seed < 1 << 64:
@@ -553,6 +555,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config, given = config_from_args(args, args.command)
+        grid = [_setting_name(args, name, "--" + name.replace("_", "-"))
+                for name in ("h_min", "h_max", "h_count") if name in given]
+        if grid and "h_values" in given:
+            raise ValueError(f"{_setting_name(args, 'h_values', '--h')} cannot be used with "
+                             f"{' and '.join(grid)}: --h gives the whole h grid")
         for path in (config.out, getattr(args, "dump_matrix", None)):
             if path is not None:
                 check_out_path(path, config.overwrite)

@@ -24,7 +24,8 @@ _DIAGONAL_TOL = 1e-7
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Log-linear eigenvalue profile: d values decaying from M down to m."""
+    """Log-linear eigenvalue profile: d values decaying from a finite M down
+    to m."""
 
     d: int
     m: float
@@ -33,8 +34,8 @@ class SpectralModel:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
-        if not (0.0 < self.m <= self.M):
-            raise ValueError(f"need 0 < m <= M, got m={self.m}, M={self.M}")
+        if not (0.0 < self.m <= self.M < math.inf):
+            raise ValueError(f"need 0 < m <= M < inf, got m={self.m}, M={self.M}")
 
 
 def exp_decay_spectrum(model: SpectralModel) -> np.ndarray:

@@ -8,12 +8,13 @@ theta = 0 is the explicit (forward Euler) update, computable in closed form;
 theta > 0 makes the update implicit. For Gaussian targets every step is a
 closed-form linear map; otherwise each step is a strongly convex subproblem
 solved to a gradient-norm tolerance by optim's batched Newton iteration.
-run_chains is the one chain driver, and it keeps only the states it returns.
-On non-Gaussian targets the chains of one theta at several step sizes read
-the same noise, so they advance together as one (B, d) state: one batched
-explicit step, or one batched Newton solve, per step for all of them, and a
-lone chain is a batch of one. The transition kernel
-density of the implicit update is available in closed form for diagnostics.
+run_chains is the one chain driver. The chains of one theta at several step
+sizes read the same noise, so they advance together, one noise block at a
+time, into one block buffer whose states one keep rule copies out: a Gaussian
+batch steps a whole block in the eigenbasis of Q, any other batch steps row
+by row as one (B, d) state, by one batched explicit step or Newton solve. A
+lone chain is a batch of one. The transition kernel density of the implicit
+update is available in closed form for diagnostics.
 """
 
 import functools
@@ -126,11 +127,6 @@ class Trajectory:
         return self.solver_iterations.shape[0]
 
 
-def _no_solves(n: int) -> tuple:
-    """Read-only zero iteration counts and gradient norms for n steps."""
-    return np.broadcast_to(0, (n,)), np.broadcast_to(0.0, (n,))
-
-
 def _check_step(target: TargetDensity, x, z, theta: float, h: float):
     _check_theta_h(theta, h)
     return _check_point(x, target.dim), _check_point(z, target.dim)
@@ -183,9 +179,10 @@ def _implicit_step(target: TargetDensity, x, z, theta: float, terms: tuple, eps:
                          (v, scale))
 
 
-def _gaussian_coefficients(target: GaussianTarget, theta: float, h: float):
+def _gaussian_coefficients(target: GaussianTarget, theta: float, h):
     """(a, b) of the closed-form theta step in the eigenbasis of Q: each
-    coordinate of y = (x - mean) V advances as y <- a y + b (z V)."""
+    coordinate of y = (x - mean) V advances as y <- a y + b (z V). A (B, 1)
+    column of step sizes gives one row of each per step size."""
     lam = target.eigenvalues
     denom = 1.0 + 0.5 * h * theta * lam
     return (1.0 - 0.5 * h * (1.0 - theta) * lam) / denom, np.sqrt(h) / denom
@@ -318,8 +315,10 @@ def run_chains(target: TargetDensity, x0, configs, noise: NoiseStream | None = N
     steps, j = 0, 1, ....
 
     The configs differ only in h; theta, eps, n_steps and seed are shared, and
-    so is the noise of each step. A Gaussian target takes the closed-form step
-    for every theta, one chain after another (eps is unused). Otherwise the
+    so is the noise of each step. The chains advance together one noise block
+    at a time. A Gaussian target takes the closed-form step for every theta
+    (eps is unused), in the eigenbasis of Q for the whole block at once; a
+    diverged chain steps on, unkept, until all have diverged. Otherwise the
     chains advance as one (B, d) state: theta = 0 by a batched explicit step,
     theta > 0 by a batched Newton solve (see optim._newton; eps > 0), whose
     rows match lone chains up to rounding: BLAS may sum a batch's products in
@@ -339,7 +338,8 @@ def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, th
     if any((c.theta, c.eps, c.n_steps, c.seed) != (theta, eps, n, seed) for c in configs):
         raise ValueError("chains run together must share theta, eps, n_steps and seed")
     gaussian = isinstance(target, GaussianTarget)
-    if theta > 0.0 and not gaussian:
+    solves = theta > 0.0 and not gaussian
+    if solves:
         _check_eps(eps)
     if not (_is_count(thin, 1) and _is_count(burn_in, 0)):
         raise ValueError(f"need integers thin >= 1 and burn_in >= 0, got {thin} and {burn_in}")
@@ -357,112 +357,92 @@ def _run_batch(target: TargetDensity, x0, configs, noise: NoiseStream | None, th
         noise = NoiseStream(seed, target.dim)
     if noise.dim != target.dim:
         raise ValueError(f"noise dimension {noise.dim} != target dimension {target.dim}")
-    n_keep = (n - burn_in) // thin + 1 if n >= burn_in else 0
-    if gaussian:
-        return [_gaussian_chain(target, x0, c, noise, thin, burn_in, n_keep) for c in configs]
     hs = [c.h for c in configs]
     b, d = len(hs), target.dim
-    terms = _step_terms(theta, hs)
+    n_keep = (n - burn_in) // thin + 1 if n >= burn_in else 0
     # One spare row per chain for an offending iterate past the last kept one.
-    samples = np.empty((b, n_keep + 1, d))
-    lengths = np.full(b, n_keep)
-    steps, diverged = np.full(b, n), np.zeros(b, dtype=bool)
-    if theta > 0.0:
+    samples, block = np.empty((b, n_keep + 1, d)), np.empty((b, NOISE_BLOCK, d))
+    samples[:, 0] = x0  # kept only if burn_in is 0, else overwritten
+    slot = int(burn_in == 0)  # the next sample row of the running chains
+    lengths, steps = np.full(b, n_keep), np.full(b, n)
+    running, diverged = np.ones(b, dtype=bool), np.zeros(b, dtype=bool)
+    if gaussian:
+        a, coef = _gaussian_coefficients(target, theta, np.asarray(hs)[:, None])
+        vecs, mean = target.eigenvectors, target.mean
+        y = (x0 - mean) @ vecs
+    else:
+        terms = _step_terms(theta, hs)
+        x = np.repeat(x0[None], b, axis=0)
+        # The chains still stepping, one per row of x; live indexes them, as
+        # a slice until the first divergence.
+        rows, live = np.arange(b), slice(None)
+    if solves:
         iterations, grad_norms = np.zeros((b, n), dtype=int), np.zeros((b, n))
-    x = np.repeat(x0[None], b, axis=0)
-    if burn_in == 0:
-        samples[:, 0] = x
-    # The chains still in the batch, one per row of x; live indexes them, as a
-    # slice until the first divergence.
-    rows, live = np.arange(b), slice(None)
-    slot = 1 if burn_in == 0 else 0  # the next sample row
-    for k in range(n):
-        if k % NOISE_BLOCK == 0:
-            draws = noise.block(k // NOISE_BLOCK)
-        z = draws[k % NOISE_BLOCK]
-        if theta == 0.0:
-            x = _predict(target, x, z, *terms[:2])[0]
+    else:  # steps without an inner solve: read-only zeros
+        iterations, grad_norms = np.broadcast_to(0, (b, n)), np.broadcast_to(0.0, (b, n))
+    for start in range(0, n, NOISE_BLOCK):
+        # Row r of block is the state after step start + r + 1.
+        count = min(NOISE_BLOCK, n - start)
+        draws = noise.block(start // NOISE_BLOCK)[:count]
+        if gaussian:
+            # In the eigenbasis, with y = (x - mean) V and w = b (z V), each
+            # step is y <- a y + w. The whole block maps back to x: a kept row
+            # alone would round otherwise, as numpy sends it to gemv. A
+            # diverging chain may overflow to inf and nan; the row check sees
+            # both, and the chain steps on with the rest.
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = (draws @ vecs) * coef[:, None]
+                w[:, 0] += a * y
+                for k in range(1, count):  # w[:, k] becomes y after step start + k
+                    w[:, k] += a * w[:, k - 1]
+                y = w[:, count - 1]
+                states = np.matmul(w, vecs.T, out=block[:, :count])
+                states += mean
+                far = ~(np.einsum("bij,bij->bi", states, states) <= DIVERGENCE_THRESHOLD**2)
+            gone = running & far.any(axis=1)
+            steps[gone] = start + far[gone].argmax(axis=1) + 1
+            diverged |= gone
         else:
-            try:
-                x, its, sq = _implicit_step(target, x, z, theta, terms, eps)
-            except optim._RowFailure as exc:
-                raise NumericalError(f"inner solver failed at theta={theta}, "
-                                     f"h={hs[rows[exc.row]]}, step {k}: {exc}") from exc
-            norms = np.sqrt(sq)
-            if not optim._all(norms <= eps):
-                row = int(np.argmin(norms <= eps))
-                raise NumericalError(
-                    f"inner solver failed at theta={theta}, h={hs[rows[row]]}, "
-                    f"step {k}: grad norm {norms[row]:.3e} > eps {eps:.3e} "
-                    f"after {its[row]} iterations; chain aborted")
-            iterations[live, k], grad_norms[live, k] = its, norms
-        kept = k + 1 >= burn_in and (k + 1 - burn_in) % thin == 0
-        if kept:
-            samples[live, slot] = x
-        within = optim._row_sq(x) <= DIVERGENCE_THRESHOLD**2
-        if not optim._all(within):
-            # A diverged chain ends with its offending iterate.
-            bad = ~within
-            gone = rows[bad]
-            if not kept:
-                samples[gone, slot] = x[bad]
-            lengths[gone], steps[gone], diverged[gone] = slot + 1, k + 1, True
-            rows = live = rows[~bad]
-            x, terms = x[~bad], tuple(t[~bad] for t in terms)
-            if not rows.size:
-                break
+            for r in range(count):
+                k = start + r
+                if theta == 0.0:
+                    x = _predict(target, x, draws[r], *terms[:2])[0]
+                else:
+                    try:
+                        x, its, sq = _implicit_step(target, x, draws[r], theta, terms, eps)
+                    except optim._RowFailure as exc:
+                        raise NumericalError(f"inner solver failed at theta={theta}, "
+                                             f"h={hs[rows[exc.row]]}, step {k}: {exc}") from exc
+                    norms = np.sqrt(sq)
+                    if not optim._all(norms <= eps):
+                        row = int(np.argmin(norms <= eps))
+                        raise NumericalError(
+                            f"inner solver failed at theta={theta}, h={hs[rows[row]]}, "
+                            f"step {k}: grad norm {norms[row]:.3e} > eps {eps:.3e} "
+                            f"after {its[row]} iterations; chain aborted")
+                    iterations[live, k], grad_norms[live, k] = its, norms
+                block[live, r] = x
+                within = optim._row_sq(x) <= DIVERGENCE_THRESHOLD**2
+                if not optim._all(within):
+                    gone = rows[~within]
+                    steps[gone], diverged[gone] = k + 1, True
+                    rows = live = rows[within]
+                    x, terms = x[within], tuple(t[within] for t in terms)
+                    if not rows.size:
+                        break
+        # The one keep rule: the running chains' states after burn_in + j * thin
+        # steps, then each newly diverged chain's offending iterate.
+        first = max(burn_in - start - 1, (burn_in - start - 1) % thin)
+        kept = len(range(first, count, thin))
+        samples[running, slot:slot + kept] = block[running, first:count:thin]
+        for i in np.flatnonzero(running & diverged):
+            lengths[i] = slot + len(range(first, steps[i] - start, thin))
+            if steps[i] < burn_in or (steps[i] - burn_in) % thin:
+                samples[i, lengths[i]] = block[i, steps[i] - start - 1]
+                lengths[i] += 1
+        running &= ~diverged
         slot += kept
-    trajectories = []
-    for i in range(b):
-        stats = ((iterations[i, :steps[i]], grad_norms[i, :steps[i]]) if theta > 0.0
-                 else _no_solves(steps[i]))
-        trajectories.append(Trajectory(samples[i, :lengths[i]], *stats,
-                                       diverged=bool(diverged[i])))
-    return trajectories
-
-
-def _gaussian_chain(target: GaussianTarget, x0, config: SamplerConfig, noise: NoiseStream,
-                    thin: int, burn_in: int, n_keep: int) -> Trajectory:
-    """The closed-form chain of config from x0, holding its n_keep states
-    after burn_in + j * thin steps and a diverged chain's offending iterate.
-
-    The chain runs in the eigenbasis of Q, one noise block at a time: with
-    y = (x - mean) V and w = b (z V), each step is y <- a y + w. A block maps
-    back to x with one matmul into a NOISE_BLOCK-row scratch, whose kept rows
-    are then copied. Mapping back only the kept rows would round differently:
-    numpy sends a one-row product to gemv.
-    """
-    a, b = _gaussian_coefficients(target, config.theta, config.h)
-    vecs, mean = target.eigenvectors, target.mean
-    n = config.n_steps
-    samples, scratch = np.empty((n_keep + 1, target.dim)), np.empty((NOISE_BLOCK, target.dim))
-    samples[0] = x0  # kept only if burn_in is 0, else overwritten
-    slot, steps = int(burn_in == 0), n  # the next sample row; the steps run
-    y = (x0 - mean) @ vecs
-    # A diverging chain may overflow to inf and nan; the row check sees both.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, NOISE_BLOCK):
-            rows = min(NOISE_BLOCK, n - start)
-            w = (noise.block(start // NOISE_BLOCK)[:rows] @ vecs) * b
-            w[0] += a * y
-            for k in range(1, rows):  # w[k] becomes y after step start + k
-                w[k] += a * w[k - 1]
-            y = w[rows - 1]
-            block = np.matmul(w, vecs.T, out=scratch[:rows])
-            block += mean
-            bad = np.flatnonzero(~(np.einsum("ij,ij->i", block, block)
-                                   <= DIVERGENCE_THRESHOLD**2))
-            if bad.size:
-                rows = int(bad[0]) + 1
-                steps = start + rows
-            # Row r of block is the state after step start + r + 1.
-            kept = block[max(burn_in - start - 1, (burn_in - start - 1) % thin):rows:thin]
-            samples[slot:slot + len(kept)] = kept
-            slot += len(kept)
-            if bad.size:
-                # A diverged chain ends with its offending iterate.
-                if steps < burn_in or (steps - burn_in) % thin:
-                    samples[slot] = block[rows - 1]
-                    slot += 1
-                return Trajectory(samples[:slot], *_no_solves(steps), diverged=True)
-    return Trajectory(samples[:slot], *_no_solves(steps))
+        if not running.any():
+            break
+    return [Trajectory(samples[i, :lengths[i]], iterations[i, :steps[i]],
+                       grad_norms[i, :steps[i]], diverged=bool(diverged[i])) for i in range(b)]

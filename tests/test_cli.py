@@ -194,6 +194,32 @@ def test_cli_gaussian_csv_bytes_identical(tmp_path):
     assert header == "theta,h,mmtv,mmd2,diverged"
 
 
+@pytest.mark.parametrize("command, flags, config, named", [
+    ("gaussian", ["--h", "0.1", "--h-min", "5", "--h-max", "9", "--h-count", "7"], "",
+     "--h cannot be used with --h-min and --h-max and --h-count"),
+    ("logistic", ["--h", "0.1", "--h-count", "7"], "", "--h cannot be used with --h-count"),
+    ("gaussian", ["--h-max", "9"], "h_values = 0.1\n",
+     "h_values in --config cannot be used with --h-max"),
+    ("logistic", ["--h", "0.1"], "h_min = 5\nh_count = 7\n",
+     "--h cannot be used with h_min in --config and h_count in --config"),
+], ids=["gaussian-flags", "logistic-flags", "file-h", "file-range"])
+def test_cli_sweeps_reject_h_with_h_range(tmp_path, capsys, monkeypatch, command, flags,
+                                          config, named):
+    # Before, gaussian --h 0.1 --h-min 5 --h-max 9 --h-count 7 wrote the
+    # bytes of --h 0.1: the range was silently unread.
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(config)
+    _forbid_work(monkeypatch)
+    sweep = (["--dim", "4"] if command == "gaussian" else ["--dataset", "unread.csv"])
+    assert main([command, *sweep, "--theta", "0.5", "--config", str(cfg), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}: --h gives the whole h grid\n"
+    # The CLI refuses the pair; the config itself still holds both.
+    config = ExperimentConfig(h_values=(0.1,), h_min=5.0, h_max=9.0, h_count=7)
+    assert (config.h_values, config.h_min, config.h_max, config.h_count) == ((0.1,), 5.0, 9.0, 7)
+
+
 def test_cli_refuses_clobber(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     argv = ["gaussian", "--dim", "4", "--kappa", "2", "--theta", "0.5",
@@ -380,6 +406,38 @@ def test_cli_heuristic_rejects_dim_with_spectrum(tmp_path, capsys, monkeypatch, 
     name = "--dim" if where == "flag" else "dim in --config"
     assert capsys.readouterr().err == (f"error: {name} sizes a --kappa or --m/--M spectrum; "
                                        "it cannot be used with --spectrum\n")
+
+
+_KAPPA_ARGV = {
+    "gaussian": ["gaussian", "--dim", "4", "--theta", "0.5", "--h", "1.0"],
+    "contour": ["contour", "--theta", "0.5"],
+    "heuristic": ["heuristic", "--dim", "4"],
+}
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("kappa", ["nan", "inf", "0.5"])
+@pytest.mark.parametrize("command", sorted(_KAPPA_ARGV))
+def test_cli_rejects_bad_kappa_before_any_work(tmp_path, capsys, monkeypatch, command, kappa,
+                                               where):
+    # Before, --kappa nan failed inside SpectralModel without naming kappa,
+    # and heuristic --kappa inf leaked a RuntimeWarning first.
+    cfg = tmp_path / "kappa.cfg"
+    cfg.write_text(f"kappa = {kappa}\n")
+    _forbid_work(monkeypatch)
+    extra = ["--kappa", kappa] if where == "flag" else ["--config", str(cfg)]
+    assert main([*_KAPPA_ARGV[command], *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: kappa must be finite and >= 1, got {float(kappa)}\n"
+
+
+@pytest.mark.parametrize("big_m", ["inf", "nan"])
+def test_cli_heuristic_rejects_non_finite_big_m(capsys, big_m):
+    assert main(["heuristic", "--m", "1", "--M", big_m]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need 0 < m <= M < inf, got m=1.0, M={big_m}\n"
 
 
 def test_cli_heuristic_rejects_theta_zero(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,15 @@ def test_spectrum_monotone_and_exact_ratio():
 def test_spectrum_rejects_small_dimension():
     with pytest.raises(ValueError):
         SpectralModel(d=1, m=1.0, M=2.0)
+
+
+@pytest.mark.parametrize("m, big_m", [(1.0, math.inf), (1.0, math.nan), (math.nan, 2.0),
+                                      (0.0, 2.0), (3.0, 2.0)])
+def test_spectrum_rejects_bounds_outside_zero_to_inf(m, big_m):
+    # An infinite M would reach exp_decay_spectrum as 0 * inf.
+    with pytest.raises(ValueError, match=re.escape(f"need 0 < m <= M < inf, got m={m}, "
+                                                   f"M={big_m}")):
+        SpectralModel(d=3, m=m, M=big_m)
 
 
 def test_flat_spectrum_gives_identity():

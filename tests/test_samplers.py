@@ -2,6 +2,7 @@ import gc
 import math
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -511,8 +512,9 @@ def _assert_bit_equal_and_held_alone(trajectory, full, expected, n_keep):
     assert trajectory.n_steps == full.n_steps
     assert trajectory.samples.shape == expected.shape
     assert trajectory.samples.tobytes() == np.ascontiguousarray(expected).tobytes()
-    # Only the kept states, and one spare row, are ever allocated.
-    assert trajectory.samples.base.shape[0] <= n_keep + 1
+    # Only the kept states, and one spare row, are ever allocated: the chains
+    # of one call share a (B, n_keep + 1, d) array.
+    assert trajectory.samples.base.shape[-2] <= n_keep + 1
 
 
 @pytest.mark.parametrize("step, thin, burn_in", [
@@ -534,14 +536,23 @@ def test_gaussian_run_chains_matches_sliced_full_chain_bit_for_bit(step, thin, b
     else:
         x0, h = np.array([0.0, DIVERGENCE_THRESHOLD / growth ** (step - 0.5)]), 1.0 + growth
     config = SamplerConfig(theta=0.0, h=h, n_steps=2 * NOISE_BLOCK + 37, seed=1)
+    # The same chain beside a stable companion in one batch: a chain that
+    # diverged in an earlier block must not be written again.
+    companion = replace(config, h=0.5)
+    n_keep = _n_keep(config.n_steps, thin, burn_in)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         full, expected = _sliced_full_chain(target, x0, config, thin, burn_in)
         [trajectory] = run_chains(target, x0, [config], thin=thin, burn_in=burn_in)
+        batch = run_chains(target, x0, [config, companion], thin=thin, burn_in=burn_in)
+        companion_full, companion_expected = _sliced_full_chain(target, x0, companion, thin,
+                                                                burn_in)
     assert full.diverged == (step is not None)
     assert full.n_steps == (step or config.n_steps)
-    _assert_bit_equal_and_held_alone(trajectory, full, expected,
-                                     _n_keep(config.n_steps, thin, burn_in))
+    assert not companion_full.diverged
+    _assert_bit_equal_and_held_alone(trajectory, full, expected, n_keep)
+    _assert_bit_equal_and_held_alone(batch[0], full, expected, n_keep)
+    _assert_bit_equal_and_held_alone(batch[1], companion_full, companion_expected, n_keep)
 
 
 @pytest.mark.parametrize("thin, burn_in", [(1, 0), (7, 13), (50, NOISE_BLOCK)])
